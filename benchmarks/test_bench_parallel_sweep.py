@@ -85,22 +85,23 @@ def test_bench_parallel_sweep_equivalence_and_speedup(benchmark, repro_scale,
 
 
 def test_bench_backend_matrix(repro_scale, bench_record):
-    """Time every scheduler × transport combination; record tasks/sec.
+    """Time every scheduler × backend combination; record tasks/sec.
 
     Byte-identity across combinations is asserted here too (a benchmark
     that silently computed different numbers would be meaningless); the
-    timing spread — serial vs GIL-bound threads vs pool vs framed-JSON
-    subprocesses vs TCP workers, and fifo vs large-first vs cost-model
-    dispatch — is what the perf trajectory tracks.  The matrix iterates
+    timing spread — in-process vs the local process pool vs TCP workers,
+    and fifo vs large-first vs cost-model dispatch — is what the perf
+    trajectory tracks.  The matrix iterates ``available_backends()`` and
     ``available_schedulers()``, so new policies (cost-model landed this
     way) get a row automatically.  The large-first/cost-model rows are
     where the straggler-tail win on skewed (ascending-n) grids shows
     up; the ``socket`` rows run against two freshly served local
     workers.
     """
-    from repro.experiments.backends import (ComposedBackend, SocketTransport,
-                                            available_schedulers,
-                                            available_transports)
+    from repro.experiments.backends import (BACKENDS, ComposedBackend,
+                                            SocketTransport,
+                                            available_backends,
+                                            available_schedulers)
     from repro.experiments.worker import spawn_local_worker
 
     grid = GRID_BY_SCALE[repro_scale]
@@ -119,32 +120,33 @@ def test_bench_backend_matrix(repro_scale, bench_record):
     try:
         reference = None
         rows, numbers, telemetry = [], {}, {}
-        # The scheduler × transport grid, plus two windowed socket
+        # The scheduler × backend grid, plus two windowed socket
         # variants (fifo only, to keep the matrix inside its CI budget):
         # the strict window-1 alternation vs the pipelined+batched
         # default the CLI now composes — and one row per worker slot
         # mode, dialing both slots of a single 2-slot worker process.
-        combos = [(scheduler, transport, None)
-                  for transport in available_transports()
+        combos = [(scheduler, name, None)
+                  for name in available_backends()
                   for scheduler in available_schedulers()]
         combos += [("fifo", "socket", dict(window=1, max_batch=1)),
                    ("fifo", "socket", dict(window=4, max_batch=8))]
         combos += [("fifo", variant, None) for variant in slot_workers]
-        for scheduler, transport, pipeline in combos:
-            if transport in slot_workers:
-                _, slot_address = slot_workers[transport]
+        for scheduler, name, pipeline in combos:
+            if name in slot_workers:
+                _, slot_address = slot_workers[name]
                 backend = ComposedBackend(
                     scheduler=scheduler,
                     transport=SocketTransport(f"{slot_address}*2"),
                     jobs=jobs)
-            elif transport == "socket":
+            elif name == "socket":
                 backend = ComposedBackend(
                     scheduler=scheduler,
                     transport=SocketTransport(addresses, **(pipeline or {})),
                     jobs=jobs)
             else:
                 backend = ComposedBackend(scheduler=scheduler,
-                                          transport=transport, jobs=jobs)
+                                          transport=BACKENDS[name](),
+                                          jobs=jobs)
             started = time.perf_counter()
             sweep = run_sweep(**grid, jobs=jobs, backend=backend)
             seconds = time.perf_counter() - started
@@ -152,7 +154,7 @@ def test_bench_backend_matrix(repro_scale, bench_record):
                 reference = sweep
             assert repr(sweep.rows()) == repr(reference.rows())
             rate = task_count / max(seconds, 1e-9)
-            variant = transport
+            variant = name
             if pipeline:
                 variant += (f"(w={pipeline['window']},"
                             f"b={pipeline['max_batch']})")

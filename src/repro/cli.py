@@ -9,7 +9,7 @@ Sub-commands
     Run a scaling sweep over several sizes/algorithms and print the table
     plus growth-law fits.  ``--jobs K`` fans the grid out over ``K``
     workers (``--jobs 0`` uses every CPU) and ``--backend`` picks where
-    they run (serial/thread/process/async); because the sweep executor
+    they run (serial/process/socket); because the sweep executor
     derives every task seed up front, the printed rows and fits are
     identical for every ``--jobs``/``--backend`` combination.  ``--output
     FILE`` persists every result to a JSONL store as it completes
@@ -29,14 +29,14 @@ Sub-commands
     Print the paper's Figure 1/2 worked example.
 ``worker serve``
     Serve sweep tasks over TCP (``--listen HOST:PORT``) for the socket
-    transport: run one per core on any host, point a sweep at them with
-    ``--workers host:port,...``.
+    backend: run one per host (``--slots N`` for N cores), point a sweep
+    at them with ``--workers host:port*N,...``.
 ``store merge``
     Compact one or more stores of the same sweep (sharded or not) into a
     single fresh store file.
 ``list``
-    List available algorithms, graph families, schedulers, transports,
-    backends and experiments.
+    List available algorithms, graph families, backends, schedulers and
+    experiments.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.backends import (available_backends,
-                                        available_schedulers,
-                                        available_transports, make_backend)
+                                        available_schedulers, make_backend)
 from repro.experiments.harness import available_algorithms, run_mis
 from repro.experiments.registry import available_experiments, run_experiment
 from repro.experiments.store import (load_sweep_result, merge_stores,
@@ -73,16 +72,17 @@ _STORE_EPILOG = (
     "every shard, so --resume and 'repro-mis report' accept the base path "
     "under any shard count; compact shards later with 'repro-mis store "
     "merge'.  "
-    "Execution: --backend serial|thread|process|async|socket picks a "
-    "(scheduler x transport) composition; --scheduler "
-    "fifo|large-first|cost-model overrides the dispatch order "
-    "(large-first sends big-n tasks out first to cut the straggler "
-    "tail; cost-model ranks tasks by estimated cost from family x "
-    "algorithm x n, so a dense small graph outranks a sparse large one "
-    "on mixed grids) and --transport picks the byte path explicitly.  "
-    "Results are byte-identical for every combination; the "
-    "crash-recovering transports (async/subprocess, socket) restart "
-    "or fail over dead workers and requeue their tasks.  "
+    "Execution: --backend picks where tasks run — serial (in this "
+    "process), process (a local process pool of --jobs workers) or "
+    "socket (TCP workers named by --workers); without --backend, "
+    "--jobs 1 runs serially and --jobs K > 1 uses the process pool.  "
+    "--scheduler fifo|large-first|cost-model overrides the dispatch "
+    "order (large-first sends big-n tasks out first to cut the "
+    "straggler tail; cost-model ranks tasks by estimated cost from "
+    "family x algorithm x n, so a dense small graph outranks a sparse "
+    "large one on mixed grids).  Results are byte-identical for every "
+    "combination; the socket backend fails over dead workers and "
+    "requeues their tasks.  "
     "Running a multi-host sweep: on each worker host run "
     "'repro-mis worker serve --listen 0.0.0.0:8750 --slots N' (one "
     "serving process per host; with N > 1 each slot runs in its own "
@@ -95,7 +95,7 @@ _STORE_EPILOG = (
     "bracket IPv6 hosts as '[::1]:8750'.  The handshake refuses "
     "workers running incompatible code (CODE_SCHEMA_VERSION), and a "
     "connection lost mid-task fails over to the remaining slots with "
-    "byte-identical results.  The socket transport pipelines: each "
+    "byte-identical results.  The socket backend pipelines: each "
     "connection keeps a sliding window of task frames in flight that "
     "starts at 1 and self-tunes (AIMD: +1 per acked result, halved on "
     "reconnect or a slow ack), so remote workers stop paying one "
@@ -119,46 +119,41 @@ _STORE_EPILOG = (
     "'repro-mis report FILE'."
 )
 
-_BACKEND_HELP = ("execution backend for the grid (default: serial when "
-                 "--jobs 1, process pool otherwise; async = crash-"
-                 "recovering worker subprocesses, socket = TCP workers "
-                 "via --workers)")
+_BACKEND_HELP = ("where the grid runs: serial (in-process), process (a "
+                 "local pool of --jobs workers) or socket (TCP workers "
+                 "via --workers); default: serial when --jobs 1, process "
+                 "otherwise")
 _SCHEDULER_HELP = ("task dispatch order: fifo (planned order, default), "
                    "large-first (descending n, cuts the straggler tail on "
                    "skewed grids) or cost-model (descending estimated "
                    "cost from family x algorithm x n — better on "
                    "mixed-family grids); never changes results, only "
                    "wall-clock")
-_TRANSPORT_HELP = ("execution transport (overrides the --backend alias): "
-                   "inline|thread|process|subprocess|socket")
 _WORKERS_HELP = ("socket workers to dial, as HOST:PORT[*SLOTS][,...] "
                  "(serve them with 'repro-mis worker serve'; '*K' dials "
                  "K connections to one multi-slot worker, '[::1]:8750' "
-                 "for IPv6); implies --transport socket")
+                 "for IPv6); implies --backend socket")
 _WINDOW_HELP = ("task frames kept in flight per worker connection "
-                "(framed transports only): an integer cap, or 'adaptive' "
+                "(socket backend only): an integer cap, or 'adaptive' "
                 "(the socket default) to start at 1 and self-tune via "
                 "AIMD — +1 per acked result, halved on reconnect; a lost "
                 "connection requeues every in-flight frame, so results "
                 "never depend on the window")
 _MAX_BATCH_HELP = ("group up to N tiny tasks into one 'tasks' frame to "
-                   "amortize per-frame overhead (framed transports only; "
+                   "amortize per-frame overhead (socket backend only; "
                    "default 1 = no batching; workers without batch "
                    "support fall back to single-task frames)")
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser,
                              jobs_help: str) -> None:
-    """The shared --jobs/--backend/--scheduler/--transport/--workers flags."""
+    """The shared --jobs/--backend/--scheduler/--workers flags."""
     parser.add_argument("--jobs", type=int, default=1, help=jobs_help)
     parser.add_argument("--backend", default=None,
                         choices=available_backends(), help=_BACKEND_HELP)
     parser.add_argument("--scheduler", default=None,
                         choices=available_schedulers(),
                         help=_SCHEDULER_HELP)
-    parser.add_argument("--transport", default=None,
-                        choices=available_transports(),
-                        help=_TRANSPORT_HELP)
     parser.add_argument("--workers", metavar="HOST:PORT,...", default=None,
                         help=_WORKERS_HELP)
     parser.add_argument("--window", metavar="N|adaptive", default=None,
@@ -279,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "OUT ('-' = stdout)")
 
     worker_parser = sub.add_parser(
-        "worker", help="run a sweep-task worker (socket transport)")
+        "worker", help="run a sweep-task worker (socket backend)")
     worker_sub = worker_parser.add_subparsers(dest="worker_command")
     serve_parser = worker_sub.add_parser(
         "serve",
@@ -389,19 +384,18 @@ def _open_store(parser: argparse.ArgumentParser, args: argparse.Namespace):
 
 
 def _compose_backend(args: argparse.Namespace):
-    """Build the execution backend from --backend/--scheduler/--transport.
+    """Build the execution backend from --backend/--scheduler/--workers.
 
     Returns ``None`` when no flag was given, so the historical jobs-driven
     default (which also sees the grid size) still applies downstream.
     Raises :class:`~repro.errors.ConfigurationError` for an unrunnable
     composition — callers invoke this *before* opening the results store,
-    so e.g. ``--transport socket`` with no workers configured fails fast
+    so e.g. ``--backend socket`` with no workers configured fails fast
     without stamping a store header for a sweep that never starts.
     """
     return make_backend(backend=args.backend, scheduler=args.scheduler,
-                        transport=args.transport, workers=args.workers,
-                        jobs=args.jobs, window=args.window,
-                        max_batch=args.max_batch)
+                        workers=args.workers, jobs=args.jobs,
+                        window=args.window, max_batch=args.max_batch)
 
 
 def _progress_printer():
@@ -430,7 +424,7 @@ def _print_telemetry(backend) -> None:
         # Jobs-driven default backends are resolved inside the executor;
         # there is no object to read counters from.
         print("transport telemetry: unavailable (pass --backend/"
-              "--transport/--workers to compose an instrumented backend)",
+              "--scheduler/--workers to compose an instrumented backend)",
               file=sys.stderr, flush=True)
         return
     print(format_telemetry(telemetry()), file=sys.stderr, flush=True)
@@ -607,7 +601,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("families   :", ", ".join(sorted(FAMILIES)))
         print("backends   :", ", ".join(available_backends()))
         print("schedulers :", ", ".join(available_schedulers()))
-        print("transports :", ", ".join(available_transports()))
         print("experiments:", ", ".join(available_experiments()))
         return 0
 

@@ -4,17 +4,14 @@ and the E1–E9 registry."""
 
 from repro.experiments.backends import (
     BACKENDS,
-    AsyncSubprocessBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
+    ComposedBackend,
     available_backends,
+    make_backend,
     resolve_backend,
 )
 from repro.experiments.executor import (
     SweepTask,
-    execute_tasks,
-    iter_task_results,
+    iter_indexed_results,
     plan_sweep_tasks,
     resolve_jobs,
     run_task,
@@ -40,26 +37,22 @@ __all__ = [
     "ALGORITHMS",
     "BACKENDS",
     "CODE_SCHEMA_VERSION",
-    "AsyncSubprocessBackend",
+    "ComposedBackend",
     "MISRunResult",
-    "ProcessBackend",
     "ResultStore",
-    "SerialBackend",
     "ShardedResultStore",
     "SweepTask",
-    "ThreadBackend",
     "available_algorithms",
     "available_backends",
     "default_message_bit_limit",
     "discover_shards",
-    "execute_tasks",
-    "iter_task_results",
+    "iter_indexed_results",
     "load_sweep_result",
+    "make_backend",
     "open_store",
     "plan_sweep_tasks",
     "resolve_backend",
     "resolve_jobs",
-    "run_mis",
     "run_task",
     "task_key",
 ]

@@ -1,24 +1,21 @@
 """Execution backends: (scheduler × transport) compositions.
 
-Historically this module implemented four monolithic backends; the layer
-is now split into two orthogonal pieces —
+The execution layer is split into two orthogonal pieces —
 
 * :mod:`repro.experiments.schedulers` owns *what runs when* (task
   ordering, retry/requeue, crash-loop accounting), and
 * :mod:`repro.experiments.transports` owns *how bytes move* (in-process,
-  pools, worker subprocesses over pipes, socket workers over TCP) —
+  a local process pool, socket workers over TCP) —
 
-and a "backend" is simply a :class:`ComposedBackend` pairing one of each.
-The historical ``backend=`` strings remain as aliases so every existing
-``run_sweep``/registry/CLI call keeps working::
+and a backend is a :class:`ComposedBackend` pairing one of each.  The
+``backend=`` strings name the transport; the scheduler defaults to
+``fifo``::
 
     serial  == fifo × inline
-    thread  == fifo × thread
     process == fifo × process
-    async   == fifo × subprocess
     socket  == fifo × socket      (workers via --workers / REPRO_WORKERS)
 
-Every backend implements one method::
+A backend implements one method::
 
     submit_tasks(tasks) -> iterator of (index, MISRunResult)
 
@@ -29,16 +26,14 @@ byte-identical results for every scheduler × transport × jobs
 combination; only arrival order and the failure model differ.  Closing
 the returned generator early cancels queued work and shuts workers down.
 
-Selection goes through :func:`resolve_backend` (alias strings, composed
+Selection goes through :func:`resolve_backend` (backend names, composed
 objects) or :func:`make_backend` (CLI-style ``--backend``/``--scheduler``/
-``--transport``/``--workers`` selectors).
+``--workers`` selectors).
 """
 
 from __future__ import annotations
 
-import os
-from typing import (Dict, Iterator, List, Optional, Protocol, Sequence,
-                    Tuple, Type, Union)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.errors import ConfigurationError
 from repro.experiments.executor import (BackendLike, SweepTask,
@@ -49,25 +44,11 @@ from repro.experiments.schedulers import (SCHEDULERS, CostModelScheduler,
                                           LargeFirstScheduler, Scheduler,
                                           available_schedulers,
                                           resolve_scheduler)
-from repro.experiments.transports import (  # noqa: F401 - re-exported compat
-    ADAPTIVE_WINDOW, SOCKET_WORKERS_ENV, TRANSPORTS, WORKER_FAULT_DIR_ENV,
-    InlineTransport, ProcessTransport, SocketTransport, SubprocessTransport,
-    ThreadTransport, Transport, available_transports,
+from repro.experiments.transports import (  # noqa: F401 - re-exported
+    ADAPTIVE_WINDOW, SOCKET_WORKERS_ENV, WORKER_FAULT_DIR_ENV,
+    InlineTransport, ProcessTransport, SocketTransport, Transport,
     parse_worker_addresses, resolve_max_batch, resolve_transport,
     resolve_window)
-
-
-class Backend(Protocol):
-    """Protocol every execution backend implements."""
-
-    #: Registry name (``"serial"``, ``"thread"``, ...) or composed label.
-    name: str
-
-    def submit_tasks(
-        self, tasks: Sequence[SweepTask],
-    ) -> Iterator[Tuple[int, MISRunResult]]:
-        """Yield ``(index, result)`` pairs as executions finish."""
-        ...
 
 
 class ComposedBackend:
@@ -81,7 +62,7 @@ class ComposedBackend:
     """
 
     def __init__(self, scheduler: Union[None, str, Scheduler] = None,
-                 transport: Union[None, str, Transport] = None,
+                 transport: Optional[Transport] = None,
                  jobs: Optional[int] = None, max_attempts: int = 3) -> None:
         self.jobs = resolve_jobs(jobs)
         self.scheduler = resolve_scheduler(scheduler,
@@ -136,96 +117,12 @@ class ComposedBackend:
             session.close()
 
 
-class SerialBackend(ComposedBackend):
-    """fifo × inline: in-process, task order, zero pickling.
-
-    Keeps single-run debugging, tracebacks and profiling simple — an
-    unpicklable monkeypatched algorithm adapter still works here, which
-    is load-bearing for several tests.
-    """
-
-    name = "serial"
-
-    def __init__(self, jobs: Optional[int] = 1,
-                 scheduler: Union[None, str, Scheduler] = None) -> None:
-        # *jobs* is accepted for registry uniformity; inline is always 1.
-        del jobs
-        super().__init__(scheduler=scheduler, transport=InlineTransport(),
-                         jobs=1)
-
-
-class ThreadBackend(ComposedBackend):
-    """fifo × thread: completion order, shared memory, GIL-bound."""
-
-    name = "thread"
-
-    def __init__(self, jobs: Optional[int] = None,
-                 scheduler: Union[None, str, Scheduler] = None) -> None:
-        super().__init__(scheduler=scheduler, transport=ThreadTransport(),
-                         jobs=jobs)
-
-
-class ProcessBackend(ComposedBackend):
-    """fifo × process: the historical ``ProcessPoolExecutor`` fan-out."""
-
-    name = "process"
-
-    def __init__(self, jobs: Optional[int] = None,
-                 scheduler: Union[None, str, Scheduler] = None) -> None:
-        super().__init__(scheduler=scheduler, transport=ProcessTransport(),
-                         jobs=jobs)
-
-
-class AsyncSubprocessBackend(ComposedBackend):
-    """fifo × subprocess: crash-recovering worker subprocesses.
-
-    Each slot is ``python -m repro.experiments.worker`` speaking
-    length-prefixed JSON over stdio pipes.  A worker that dies mid-task
-    is replaced and its task requeued; a task that crashes its worker
-    *max_attempts* times raises :class:`~repro.errors.WorkerCrashError`
-    instead of looping forever.  (The name predates the scheduler ×
-    transport split, when this was an asyncio implementation.)
-    """
-
-    name = "async"
-
-    def __init__(self, jobs: Optional[int] = None, max_attempts: int = 3,
-                 scheduler: Union[None, str, Scheduler] = None) -> None:
-        super().__init__(scheduler=scheduler,
-                         transport=SubprocessTransport(), jobs=jobs,
-                         max_attempts=max_attempts)
-        self.max_attempts = max_attempts
-
-
-class SocketBackend(ComposedBackend):
-    """fifo × socket: the worker protocol over TCP — the cluster backend.
-
-    Serve workers anywhere with ``repro-mis worker serve --listen
-    HOST:PORT`` and point the coordinator at them (CLI ``--workers
-    host:port,...``, or the :data:`~repro.experiments.transports
-    .SOCKET_WORKERS_ENV` environment variable).  One slot per worker; a
-    dropped connection is requeued exactly like a killed subprocess.
-    """
-
-    name = "socket"
-
-    def __init__(self, jobs: Optional[int] = None,
-                 workers: Union[None, str, Sequence[str]] = None,
-                 max_attempts: int = 3,
-                 scheduler: Union[None, str, Scheduler] = None) -> None:
-        super().__init__(scheduler=scheduler,
-                         transport=SocketTransport(workers), jobs=jobs,
-                         max_attempts=max_attempts)
-        self.max_attempts = max_attempts
-
-
-#: Registry of selectable backend aliases (the CLI's ``--backend`` choices).
-BACKENDS: Dict[str, Type] = {
-    "serial": SerialBackend,
-    "thread": ThreadBackend,
-    "process": ProcessBackend,
-    "async": AsyncSubprocessBackend,
-    "socket": SocketBackend,
+#: Selectable backends (the CLI's ``--backend`` choices): each name picks
+#: the transport a :class:`ComposedBackend` drives.
+BACKENDS: Dict[str, Type[Transport]] = {
+    "serial": InlineTransport,
+    "process": ProcessTransport,
+    "socket": SocketTransport,
 }
 
 
@@ -234,49 +131,52 @@ def available_backends() -> List[str]:
     return sorted(BACKENDS)
 
 
+def _check_backend_name(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend '{backend}'; known: {available_backends()}"
+        )
+
+
 def resolve_backend(backend: BackendLike, jobs: Optional[int] = 1,
-                    total: Optional[int] = None) -> Backend:
+                    total: Optional[int] = None) -> ComposedBackend:
     """Turn a backend selector into a backend object.
 
     ``None`` preserves the historical ``jobs``-driven choice: serial when
     one worker would be used (or the grid has at most one task — a pool
-    would be pure overhead), the process pool otherwise.  A string is
-    looked up in :data:`BACKENDS` and constructed with *jobs*; anything
-    else is assumed to already be a backend object and returned as-is.
+    would be pure overhead), the process pool otherwise.  A name from
+    :data:`BACKENDS` composes ``fifo`` with that transport under *jobs*;
+    anything else is assumed to already be a backend object and returned
+    as-is.
     """
     if backend is None:
         workers = resolve_jobs(jobs)
-        if workers == 1 or (total is not None and total <= 1):
-            return SerialBackend()
-        return ProcessBackend(jobs=workers)
+        if total is not None and total <= 1:
+            workers = 1
+        return ComposedBackend(jobs=workers)
     if isinstance(backend, str):
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend '{backend}'; known: {available_backends()}"
-            )
-        return BACKENDS[backend](jobs=jobs)
+        _check_backend_name(backend)
+        return ComposedBackend(transport=BACKENDS[backend](), jobs=jobs)
     return backend
 
 
 def make_backend(backend: Optional[str] = None,
                  scheduler: Optional[str] = None,
-                 transport: Optional[str] = None,
                  workers: Union[None, str, Sequence[str]] = None,
                  jobs: Optional[int] = 1,
                  max_attempts: int = 3,
                  window: Union[None, int, str] = None,
                  max_batch: Union[None, int, str] = None,
-                 ) -> Optional[Backend]:
+                 ) -> Optional[ComposedBackend]:
     """Compose a backend from CLI-style selectors.
 
     Returns ``None`` when every selector is ``None`` — the historical
     jobs-driven default (which also knows the grid size) then applies in
-    :func:`resolve_backend`.  A ``--backend`` alias provides the
-    (scheduler, transport) pair; explicit ``--scheduler`` / ``--transport``
-    override its halves; ``--workers`` implies the socket transport.
-    ``--window`` / ``--max-batch`` tune the framed transports' pipelining
-    (see :mod:`repro.experiments.transports`); ``None`` keeps each
-    transport's default (adaptive for socket, 1 for subprocess).
+    :func:`resolve_backend`.  ``--backend`` picks the transport,
+    ``--scheduler`` the dispatch order, and ``--workers`` implies the
+    socket backend.  ``--window`` / ``--max-batch`` tune the socket
+    transport's pipelining (see :mod:`repro.experiments.transports`);
+    ``None`` keeps its defaults (adaptive window, no batching).
 
     Socket misconfiguration fails *here*, not at session-open time: a
     sweep that cannot possibly run (no ``--workers``, no
@@ -285,82 +185,46 @@ def make_backend(backend: Optional[str] = None,
     before the CLI stamps a results-store header for a sweep that never
     starts.
     """
-    if backend is not None and backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend '{backend}'; known: {available_backends()}"
-        )
-    if backend is not None and transport is not None:
-        raise ConfigurationError(
-            "pass either --backend (a scheduler × transport alias) or "
-            "--transport, not both"
-        )
-    if workers is not None:
-        if backend == "socket" or transport == "socket":
-            pass  # socket already selected explicitly
-        elif backend is None and transport is None:
-            transport = "socket"  # --workers alone implies socket
-        else:
-            raise ConfigurationError(
-                "--workers only applies to the socket transport "
-                "(--backend socket / --transport socket)"
-            )
-    pipeline_options: Dict[str, int] = {}
-    if window is not None:
-        pipeline_options["window"] = resolve_window(window)
-    if max_batch is not None:
-        pipeline_options["max_batch"] = resolve_max_batch(max_batch)
-    if pipeline_options:
-        framed = (backend in ("async", "socket")
-                  or transport in ("subprocess", "socket"))
-        if not framed:
-            raise ConfigurationError(
-                "--window/--max-batch only apply to the framed transports: "
-                "combine them with --workers/--backend socket/--transport "
-                "socket, or --backend async/--transport subprocess"
-            )
-    if backend is None and scheduler is None and transport is None:
-        return None
-    if backend == "socket" or transport == "socket":
-        # Validate the addresses that will actually be dialled — the
-        # explicit flag, or the env-var fallback SocketTransport would
-        # consult at open time.  A typo'd list (in either place) or an
-        # empty one must fail here, not mid-way through setup.
-        effective_workers = (workers if workers is not None
-                             else os.environ.get(SOCKET_WORKERS_ENV))
-        if not parse_worker_addresses(effective_workers):
-            raise ConfigurationError(
-                "socket transport needs worker addresses: pass --workers "
-                "HOST:PORT[*SLOTS],... (serve them with 'repro-mis worker "
-                "serve --listen HOST:PORT --slots N') or set the "
-                f"{SOCKET_WORKERS_ENV} environment variable"
-            )
-        return ComposedBackend(
-            scheduler=scheduler,
-            transport=SocketTransport(workers, **pipeline_options),
-            jobs=jobs, max_attempts=max_attempts)
-    if pipeline_options and (backend == "async"
-                             or transport == "subprocess"):
-        return ComposedBackend(
-            scheduler=scheduler,
-            transport=SubprocessTransport(**pipeline_options),
-            jobs=jobs, max_attempts=max_attempts)
     if backend is not None:
-        # Alias classes carry their transport; just add the scheduler.
-        return BACKENDS[backend](jobs=jobs, scheduler=scheduler)
+        _check_backend_name(backend)
+    if workers is not None:
+        if backend not in (None, "socket"):
+            raise ConfigurationError(
+                "--workers only applies to the socket backend "
+                "(--backend socket, or --workers alone)"
+            )
+        backend = "socket"
+    pipeline_options = {name: value for name, value
+                        in (("window", window), ("max_batch", max_batch))
+                        if value is not None}
+    if pipeline_options and backend != "socket":
+        raise ConfigurationError(
+            "--window/--max-batch only apply to the socket backend: "
+            "combine them with --workers or --backend socket"
+        )
+    if backend is None and scheduler is None:
+        return None
+    transport: Optional[Transport] = None
+    if backend == "socket":
+        transport = SocketTransport(workers, **pipeline_options)
+        # Resolve the addresses that will actually be dialled — the
+        # explicit flag, or the environment fallback — so a typo'd or
+        # empty list fails here, not mid-way through setup.
+        transport.addresses()
+    elif backend is not None:
+        transport = BACKENDS[backend]()
     return ComposedBackend(scheduler=scheduler, transport=transport,
                            jobs=jobs, max_attempts=max_attempts)
 
 
 __all__ = [
-    "Backend", "ComposedBackend", "SerialBackend", "ThreadBackend",
-    "ProcessBackend", "AsyncSubprocessBackend", "SocketBackend",
-    "BACKENDS", "available_backends", "resolve_backend", "make_backend",
+    "ComposedBackend", "BACKENDS", "available_backends", "resolve_backend",
+    "make_backend",
     "Scheduler", "FifoScheduler", "LargeFirstScheduler",
     "CostModelScheduler", "SCHEDULERS",
     "available_schedulers", "resolve_scheduler",
-    "Transport", "InlineTransport", "ThreadTransport", "ProcessTransport",
-    "SubprocessTransport", "SocketTransport", "TRANSPORTS",
-    "available_transports", "resolve_transport", "parse_worker_addresses",
+    "Transport", "InlineTransport", "ProcessTransport", "SocketTransport",
+    "resolve_transport", "parse_worker_addresses",
     "ADAPTIVE_WINDOW", "resolve_window", "resolve_max_batch",
     "WORKER_FAULT_DIR_ENV", "SOCKET_WORKERS_ENV",
 ]

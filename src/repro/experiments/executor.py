@@ -29,21 +29,18 @@ single-run debugging, tracebacks and profiling simple.
 
 *Where* and *in what order* tasks execute is delegated to a pluggable
 execution backend (:mod:`repro.experiments.backends`): a **scheduler**
-(:mod:`repro.experiments.schedulers` — ``fifo`` or ``large-first``
-ordering, retry/requeue, crash-loop accounting) composed with a
-**transport** (:mod:`repro.experiments.transports` — ``inline``,
-``thread``, ``process``, ``subprocess`` pipes, or ``socket`` workers on
-other hosts).  The historical ``backend="serial"|"thread"|"process"|
-"async"|"socket"`` strings select ready-made compositions.  Every
-combination consumes the same up-front-seeded task specs, so they are
-interchangeable without affecting a single result byte.
+(:mod:`repro.experiments.schedulers` — ``fifo``, ``large-first`` or
+``cost-model`` ordering, retry/requeue, crash-loop accounting) composed
+with a **transport** (:mod:`repro.experiments.transports` — ``inline``,
+a local ``process`` pool, or ``socket`` workers on other hosts).  The
+``backend="serial"|"process"|"socket"`` strings pick the transport.
+Every combination consumes the same up-front-seeded task specs, so they
+are interchangeable without affecting a single result byte.
 
-Two consumption modes are offered: :func:`execute_tasks` returns the full
-result list in task order (batch), while :func:`iter_task_results` /
-:func:`iter_indexed_results` stream ``(task, result)`` pairs as workers
-finish, so grids too large to hold every result in memory can aggregate
-and persist incrementally (see :mod:`repro.experiments.sweeps` and
-:mod:`repro.experiments.store`).
+:func:`iter_indexed_results` streams ``(index, task, result)`` triples as
+workers finish, so grids too large to hold every result in memory can
+aggregate and persist incrementally (see :mod:`repro.experiments.sweeps`
+and :mod:`repro.experiments.store`).
 """
 
 from __future__ import annotations
@@ -372,52 +369,36 @@ ProgressCallback = Callable[[SweepTask, MISRunResult, int, int], None]
 BackendLike = Union[None, str, Any]
 
 
-def iter_task_results(
-    tasks: Iterable[SweepTask],
-    jobs: Optional[int] = 1,
-    progress: Optional[ProgressCallback] = None,
-    backend: BackendLike = None,
-) -> Iterator[Tuple[SweepTask, MISRunResult]]:
-    """Stream ``(task, result)`` pairs as executions finish.
-
-    This is the streaming counterpart of :func:`execute_tasks`: nothing is
-    buffered, so a consumer can persist or aggregate each result and let it
-    go — the footprint of a sweep no longer grows with the grid size.  With
-    the serial backend tasks run in-process in task order; with a
-    multi-worker backend the pairs arrive in **completion order** (the
-    yielded ``task`` says which one finished).  Because every seed was fixed
-    up front by :func:`plan_sweep_tasks`, arrival order cannot affect any
-    result — consumers that need deterministic aggregation simply fold the
-    pairs back into task order (as :func:`repro.experiments.sweeps
-    .run_sweep` does).
-
-    *backend* selects where tasks execute (see
-    :mod:`repro.experiments.backends`): ``None`` keeps the historical
-    behaviour — in-process for ``jobs=1``, the process pool otherwise —
-    while ``"serial"``/``"thread"``/``"process"``/``"async"`` (or a backend
-    object) pick one explicitly.  Every backend yields byte-identical
-    results; they differ only in placement and failure model.
-
-    *progress*, when given, is called in the coordinator process as
-    ``progress(task, result, done, total)`` after each completed execution
-    — it sees only tasks that actually ran, which is what lets resume tests
-    assert that skipped tasks were never re-executed.
-    """
-    for _, task, result in iter_indexed_results(tasks, jobs=jobs,
-                                                progress=progress,
-                                                backend=backend):
-        yield task, result
-
-
 def iter_indexed_results(
     tasks: Iterable[SweepTask],
     jobs: Optional[int] = 1,
     progress: Optional[ProgressCallback] = None,
     backend: BackendLike = None,
 ) -> Iterator[Tuple[int, SweepTask, MISRunResult]]:
-    """Like :func:`iter_task_results` but each pair carries the task's
-    position in *tasks*, for consumers that fold completion-order arrivals
-    back into deterministic task order."""
+    """Stream ``(index, task, result)`` triples as executions finish.
+
+    Nothing is buffered, so a consumer can persist or aggregate each
+    result and let it go — the footprint of a sweep does not grow with
+    the grid size.  With the serial backend tasks run in-process in task
+    order; with a multi-worker backend the triples arrive in **completion
+    order**, and *index* is the task's position in *tasks*.  Because
+    every seed was fixed up front by :func:`plan_sweep_tasks`, arrival
+    order cannot affect any result — consumers that need deterministic
+    aggregation fold the triples back into task order by index (as
+    :func:`repro.experiments.sweeps.run_sweep` does).
+
+    *backend* selects where tasks execute (see
+    :mod:`repro.experiments.backends`): ``None`` keeps the historical
+    behaviour — in-process for ``jobs=1``, the process pool otherwise —
+    while ``"serial"``/``"process"``/``"socket"`` (or a backend object)
+    pick one explicitly.  Every backend yields byte-identical results;
+    they differ only in placement and failure model.
+
+    *progress*, when given, is called in the coordinator process as
+    ``progress(task, result, done, total)`` after each completed execution
+    — it sees only tasks that actually ran, which is what lets resume tests
+    assert that skipped tasks were never re-executed.
+    """
     # Imported lazily: backends import run_task/_build_graph from this
     # module, so a top-level import would be circular.
     from repro.experiments.backends import resolve_backend
@@ -445,23 +426,3 @@ def iter_indexed_results(
         close = getattr(stream, "close", None)
         if close is not None:
             close()
-
-
-def execute_tasks(
-    tasks: Iterable[SweepTask],
-    jobs: Optional[int] = 1,
-    backend: BackendLike = None,
-) -> List[MISRunResult]:
-    """Run every task and return results in task order.
-
-    Batch wrapper over :func:`iter_indexed_results`: results are reassembled
-    positionally, so the returned list aligns with *tasks* regardless of
-    which worker finished first.  Prefer the iterators for large grids —
-    this holds every result until the last task completes.
-    """
-    task_list = list(tasks)
-    results: List[Optional[MISRunResult]] = [None] * len(task_list)
-    for index, _, result in iter_indexed_results(task_list, jobs=jobs,
-                                                 backend=backend):
-        results[index] = result
-    return results  # type: ignore[return-value]

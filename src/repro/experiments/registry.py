@@ -10,7 +10,7 @@ regenerated from exactly one code path.
 
 The sweep-backed experiments (E1–E5, E9) accept ``jobs`` (worker
 processes), ``backend`` (any scheduler × transport composition — the CLI
-builds it from ``--backend``/``--scheduler``/``--transport``/``--workers``,
+builds it from ``--backend``/``--scheduler``/``--workers``,
 so a full-scale E9 grid can run large-first over socket workers on other
 hosts) and ``store``/``resume`` (a :class:`~repro.experiments.store
 .ResultStore` that persists every task result as it completes and lets an

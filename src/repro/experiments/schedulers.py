@@ -22,7 +22,7 @@ policy can affect a single result byte — policies only move wall-clock
 time around.
 
 The loop re-reads ``session.slots`` every iteration, and ``slots`` is a
-*capacity*, not a worker count: the windowed framed transports report
+*capacity*, not a worker count: the windowed socket transport reports
 the sum of their per-connection congestion windows, so as windows grow
 (one increment per acked result — see :mod:`repro.experiments
 .transports`) the same loop pipelines more frames into the same

@@ -1,7 +1,7 @@
 """Transport telemetry: RTT estimation and per-connection counters.
 
-The framed transports (:mod:`repro.experiments.transports`) used to tune
-their pipelining off a single hand-set constant (``ack_timeout``) and
+The socket transport (:mod:`repro.experiments.transports`) used to tune
+its pipelining off a single hand-set constant (``ack_timeout``) and
 reported almost nothing about what the pipeline actually did — at odds
 with a reproduction whose whole point is *measuring* a cost dimension
 other accountings ignore.  This module closes both gaps:

@@ -1,11 +1,8 @@
-"""Framed-JSON task worker (stdio pipes or a TCP listener).
+"""Framed-JSON task worker over TCP.
 
-Run as ``python -m repro.experiments.worker`` to serve tasks over the
-stdio pipes (how :class:`~repro.experiments.transports
-.SubprocessTransport` spawns it), or with ``--listen HOST:PORT`` /
-``repro-mis worker serve --listen HOST:PORT`` to serve them over TCP for
-:class:`~repro.experiments.transports.SocketTransport` — the same loop,
-framing and failure semantics either way.
+Run as ``repro-mis worker serve --listen HOST:PORT`` (or ``python -m
+repro.experiments.worker --listen HOST:PORT``) to serve tasks for
+:class:`~repro.experiments.transports.SocketTransport`.
 
 The protocol is length-prefixed JSON: each frame is a 4-byte big-endian
 length followed by that many bytes of UTF-8 JSON.
@@ -39,12 +36,11 @@ at-a-time protocol; ``seq`` is optional on task frames and echoed on
 replies when present, which is how the coordinator cross-checks its
 per-connection in-flight tracking.
 
-EOF on the task stream is the shutdown signal (over TCP the worker then
-loops back to ``accept``, so a long-lived worker serves many sweeps).  A
-task exception is reported as an ``error`` frame (the worker survives and
+EOF on the task stream ends the connection (the worker then loops back
+to ``accept``, so a long-lived worker serves many sweeps).  A task
+exception is reported as an ``error`` frame (the worker survives and
 keeps serving); only an actual worker death — which the coordinator
-detects as EOF/reset on *its* end — triggers restart/reconnect-and-
-requeue.
+detects as EOF/reset on *its* end — triggers reconnect-and-requeue.
 
 ``--slots N`` makes one TCP worker serve up to N coordinator connections
 concurrently (the handshake is unchanged — it happens once per
@@ -94,10 +90,10 @@ def _read_exactly(stream: BinaryIO, count: int) -> Optional[bytes]:
     """Read exactly *count* bytes, or ``None`` on EOF before that.
 
     A single ``read(n)`` may legally return fewer than ``n`` bytes —
-    guaranteed on sockets once frames span TCP segments, possible on
-    pipes — so the read is looped until exactly-n or EOF.  An EOF
-    mid-frame (torn frame) also returns ``None``: to a frame reader a
-    peer that died mid-write looks the same as one that closed cleanly.
+    guaranteed on sockets once frames span TCP segments — so the read is
+    looped until exactly-n or EOF.  An EOF mid-frame (torn frame) also
+    returns ``None``: to a frame reader a peer that died mid-write looks
+    the same as one that closed cleanly.
     """
     chunks = []
     remaining = count
@@ -194,11 +190,10 @@ def maybe_crash(task: SweepTask, scope: str = "process") -> None:
     removed and the fault fires — *after* accepting the task but *before*
     producing its result, exactly the window a real crash/kill/OOM hits.
     Removing the marker first makes the fault one-shot: the retry of the
-    requeued task succeeds, which is what the recovery tests need.  Works
-    identically for pipe and socket workers.
+    requeued task succeeds, which is what the recovery tests need.
 
-    *scope* picks what dies.  ``"process"`` (single-slot workers, stdio
-    workers) exits hard with code 17 — the historical behaviour the
+    *scope* picks what dies.  ``"process"`` (single-slot workers and slot
+    subprocesses) exits hard with code 17 — the historical behaviour the
     crash-recovery suites assert on.  ``"connection"`` (multi-slot
     workers, where one slot cannot take the process down without killing
     its siblings) raises :class:`_InjectedConnectionDeath`, which the
@@ -219,7 +214,7 @@ def maybe_crash(task: SweepTask, scope: str = "process") -> None:
 def serve_stream(reader: BinaryIO, writer: BinaryIO,
                  fault_scope: str = "process",
                  stats: Optional[Dict[str, int]] = None) -> int:
-    """Serve one framed task stream until EOF (pipe or socket alike).
+    """Serve one framed task stream until EOF.
 
     Returns the number of task frames handled.  *stats*, when given, has
     its ``"tasks"`` entry updated incrementally — so a caller watching a
@@ -746,21 +741,20 @@ def spawn_local_worker(extra_env: Optional[Dict[str, str]] = None,
 
 
 def main(argv: Optional[list] = None) -> int:
-    """Entry point: stdio worker by default, TCP worker with ``--listen``."""
+    """Entry point: serve the framed task protocol on ``--listen``."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="repro-mis-worker",
-        description="framed-JSON sweep-task worker (stdio or TCP)",
+        description="framed-JSON sweep-task worker over TCP",
     )
-    parser.add_argument("--listen", metavar="HOST:PORT", default=None,
-                        help="serve over TCP on this address instead of "
-                             "the stdio pipes (port 0 = ephemeral, "
-                             "[IPV6]:PORT accepted)")
+    parser.add_argument("--listen", metavar="HOST:PORT", required=True,
+                        help="serve over TCP on this address (port 0 = "
+                             "ephemeral, [IPV6]:PORT accepted)")
     parser.add_argument("--slots", type=int, default=1, metavar="N",
                         help="serve up to N coordinator connections "
                              "concurrently, sharing the host's graph "
-                             "work (default: 1; TCP mode only)")
+                             "work (default: 1)")
     parser.add_argument("--max-connections", type=int, default=None,
                         metavar="N",
                         help="exit after N connections that served at "
@@ -778,27 +772,24 @@ def main(argv: Optional[list] = None) -> int:
                         help="multiprocessing start method for process "
                              "slots (default: platform default)")
     args = parser.parse_args(argv)
-    if args.listen is not None:
-        # SIGTERM (plain `kill`, fixture teardown) takes the same orderly
-        # shutdown path as Ctrl-C: join/terminate slots, unlink every
-        # shared graph segment exactly once.  SIGKILL is unmaskable; the
-        # next worker to start reaps any segments it orphaned.
-        import signal
+    # SIGTERM (plain `kill`, fixture teardown) takes the same orderly
+    # shutdown path as Ctrl-C: join/terminate slots, unlink every shared
+    # graph segment exactly once.  SIGKILL is unmaskable; the next worker
+    # to start reaps any segments it orphaned.
+    import signal
 
-        def _terminate(signum, frame):
-            raise KeyboardInterrupt
+    def _terminate(signum, frame):
+        raise KeyboardInterrupt
 
-        with contextlib.suppress(ValueError, OSError):
-            signal.signal(signal.SIGTERM, _terminate)
-        try:
-            return serve(args.listen, max_connections=args.max_connections,
-                         slots=args.slots, slot_mode=args.slot_mode,
-                         start_method=args.start_method)
-        except ConfigurationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    serve_stream(sys.stdin.buffer, sys.stdout.buffer)
-    return 0
+    with contextlib.suppress(ValueError, OSError):
+        signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return serve(args.listen, max_connections=args.max_connections,
+                     slots=args.slots, slot_mode=args.slot_mode,
+                     start_method=args.start_method)
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

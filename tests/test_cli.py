@@ -14,9 +14,9 @@ class TestCLI:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "awake_mis" in out and "E8" in out
-        assert "backends" in out and "async" in out and "socket" in out
+        assert "backends   : process, serial, socket" in out
         assert "schedulers" in out and "large-first" in out
-        assert "transports" in out and "subprocess" in out
+        assert "transports" not in out
 
     def test_figure(self, capsys):
         assert main(["figure"]) == 0
@@ -71,14 +71,21 @@ class TestCLI:
                   "--jobs", "-2"])
         assert "--jobs must be >= 0" in capsys.readouterr().err
 
-    def test_unknown_backend_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--algorithms", "luby", "--sizes", "16",
-                  "--backend", "cluster"])
-        assert "invalid choice" in capsys.readouterr().err
+    @pytest.mark.parametrize("extra", [["--backend", "cluster"],
+                                       ["--backend", "thread"],
+                                       ["--backend", "async"],
+                                       ["--transport", "process"],
+                                       ["--transport", "thread"],
+                                       ["--transport", "subprocess"]])
+    def test_unknown_execution_selectors_are_usage_errors(self, extra,
+                                                          capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--algorithms", "luby", "--sizes", "16", *extra])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process",
-                                         "async"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_sweep_backend_output_matches_default(self, backend, capsys):
         argv = ["sweep", "--algorithms", "luby", "--sizes", "16", "24",
                 "--families", "gnp", "--repetitions", "1", "--seed", "3"]
@@ -91,13 +98,12 @@ class TestCLI:
                                        ["--scheduler", "large-first",
                                         "--jobs", "2"],
                                        ["--scheduler", "large-first",
-                                        "--backend", "thread", "--jobs", "2"],
+                                        "--backend", "process", "--jobs",
+                                        "2"],
                                        ["--scheduler", "cost-model"],
                                        ["--scheduler", "cost-model",
-                                        "--backend", "thread", "--jobs", "2"],
-                                       ["--transport", "thread",
-                                        "--jobs", "2"]])
-    def test_sweep_scheduler_and_transport_flags_never_change_output(
+                                        "--backend", "serial"]])
+    def test_sweep_scheduler_flags_never_change_output(
             self, extra, capsys):
         argv = ["sweep", "--algorithms", "luby", "--sizes", "16", "24",
                 "--families", "gnp", "--repetitions", "1", "--seed", "3"]
@@ -115,7 +121,7 @@ class TestCLI:
         assert main([*argv, "--backend", "socket",
                             "--workers", socket_workers]) == 0
         assert capsys.readouterr().out == default_out
-        # --workers alone implies the socket transport.
+        # --workers alone implies the socket backend.
         assert main([*argv, "--workers", socket_workers]) == 0
         assert capsys.readouterr().out == default_out
 
@@ -125,9 +131,9 @@ class TestCLI:
                   "--scheduler", "smallest-first"])
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_workers_with_non_socket_transport_renders_error(self, capsys):
+    def test_workers_with_non_socket_backend_renders_error(self, capsys):
         assert main(["sweep", "--algorithms", "luby", "--sizes", "16",
-                     "--repetitions", "1", "--transport", "process",
+                     "--repetitions", "1", "--backend", "process",
                      "--workers", "127.0.0.1:1"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "--workers" in err
@@ -144,7 +150,7 @@ class TestCLI:
 
     def test_socket_without_workers_fails_fast_naming_flag_and_env(
             self, tmp_path, capsys, monkeypatch):
-        """The fail-fast satellite: --transport socket with neither
+        """The fail-fast satellite: --backend socket with neither
         --workers nor REPRO_WORKERS must error out *before* the results
         store is touched, and the message must name both ways to fix
         it."""
@@ -153,7 +159,7 @@ class TestCLI:
         monkeypatch.delenv(SOCKET_WORKERS_ENV, raising=False)
         out_path = tmp_path / "never-created.jsonl"
         assert main(["sweep", "--algorithms", "luby", "--sizes", "16",
-                     "--repetitions", "1", "--transport", "socket",
+                     "--repetitions", "1", "--backend", "socket",
                      "--output", str(out_path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
@@ -188,9 +194,9 @@ class TestCLI:
                             "--window", "4"]) == 0
         assert capsys.readouterr().out == default_out
 
-    def test_window_with_non_framed_backend_renders_error(self, capsys):
+    def test_window_with_non_socket_backend_renders_error(self, capsys):
         assert main(["sweep", "--algorithms", "luby", "--sizes", "16",
-                     "--repetitions", "1", "--backend", "thread",
+                     "--repetitions", "1", "--backend", "process",
                      "--window", "4"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "--window/--max-batch" in err
@@ -233,6 +239,24 @@ class TestCLI:
         assert main(["worker"]) == 2
         assert "worker serve" in capsys.readouterr().err
 
+    def test_worker_serve_requires_listen(self, capsys):
+        # Workers only serve over TCP: there is no stdio-pipe mode left
+        # for a missing --listen to fall back to.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "serve"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "required" in err and "--listen" in err
+
+    def test_standalone_worker_entry_point_requires_listen(self, capsys):
+        from repro.experiments.worker import main as worker_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            worker_main([])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "required" in err and "--listen" in err
+
     def test_store_without_subcommand_prints_usage(self, capsys):
         assert main(["store"]) == 2
         assert "store merge" in capsys.readouterr().err
@@ -263,7 +287,7 @@ class TestCLIFamilyErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("extra", [["--jobs", "2"],
-                                       ["--backend", "async"]])
+                                       ["--backend", "process"]])
     def test_sweep_unknown_family_renders_cleanly_on_every_backend(
             self, extra, capsys):
         assert main(["sweep", "--algorithms", "luby", "--sizes", "16", "24",

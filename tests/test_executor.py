@@ -13,8 +13,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.executor import (
     SweepTask,
-    execute_tasks,
-    iter_task_results,
+    iter_indexed_results,
     plan_sweep_tasks,
     resolve_jobs,
     run_task,
@@ -147,21 +146,20 @@ class TestResolveJobs:
 class TestStreaming:
     def test_jobs1_streams_in_task_order(self):
         tasks = plan_sweep_tasks(**GRID)
-        pairs = list(iter_task_results(tasks, jobs=1))
-        assert [task for task, _ in pairs] == tasks
-        reference = execute_tasks(tasks, jobs=1)
-        assert [result.mis for _, result in pairs] == [r.mis
-                                                       for r in reference]
+        triples = list(iter_indexed_results(tasks, jobs=1))
+        assert [index for index, _, _ in triples] == list(range(len(tasks)))
+        assert [task for _, task, _ in triples] == tasks
+        assert [result.mis for _, _, result in triples] == [
+            run_task(task).mis for task in tasks]
 
     def test_parallel_stream_covers_every_task_exactly_once(self):
         tasks = plan_sweep_tasks(**GRID)
-        pairs = list(iter_task_results(tasks, jobs=4))
-        assert sorted(task.run_seed for task, _ in pairs) == sorted(
+        triples = list(iter_indexed_results(tasks, jobs=4))
+        assert sorted(task.run_seed for _, task, _ in triples) == sorted(
             task.run_seed for task in tasks)
-        by_seed = {task.run_seed: result for task, result in pairs}
-        reference = execute_tasks(tasks, jobs=1)
-        for task, expected in zip(tasks, reference):
-            assert by_seed[task.run_seed].mis == expected.mis
+        for index, task, result in triples:
+            assert task is tasks[index]
+            assert result.mis == run_task(task).mis
 
     def test_progress_callback_sees_every_execution(self):
         tasks = plan_sweep_tasks(**GRID)
@@ -170,7 +168,7 @@ class TestStreaming:
         def progress(task, result, done, total):
             seen.append((task.run_seed, done, total))
 
-        list(iter_task_results(tasks, jobs=1, progress=progress))
+        list(iter_indexed_results(tasks, jobs=1, progress=progress))
         assert [done for _, done, _ in seen] == list(range(1, len(tasks) + 1))
         assert all(total == len(tasks) for _, _, total in seen)
         assert sorted(seed for seed, _, _ in seen) == sorted(
@@ -179,13 +177,13 @@ class TestStreaming:
     def test_yielded_results_are_compact(self):
         tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                  repetitions=1, seed=7)
-        for _, result in iter_task_results(tasks, jobs=1):
+        for _, _, result in iter_indexed_results(tasks, jobs=1):
             assert isinstance(result.metrics, CompactRunMetrics)
             assert result.raw is None
 
     def test_abandoning_the_stream_shuts_the_pool_down(self):
         tasks = plan_sweep_tasks(**GRID)
-        stream = iter_task_results(tasks, jobs=4)
+        stream = iter_indexed_results(tasks, jobs=4)
         next(stream)
         stream.close()  # must not hang on queued futures
 
@@ -196,7 +194,7 @@ class TestGraphCacheLifecycle:
 
         tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                  repetitions=2, seed=11)
-        list(iter_task_results(tasks, jobs=1))
+        list(iter_indexed_results(tasks, jobs=1))
         assert _build_graph.cache_info().currsize == 0
 
     def test_worker_initializer_resets_the_cache(self):
@@ -241,16 +239,17 @@ def serial_baseline():
 
 
 class TestSerialParallelEquivalence:
-    def test_execute_tasks_preserves_task_order(self):
+    def test_indices_reassemble_task_order(self):
         tasks = plan_sweep_tasks(**GRID)
-        serial = execute_tasks(tasks, jobs=1)
-        parallel = execute_tasks(tasks, jobs=4)
+        serial = [result for _, _, result in iter_indexed_results(tasks)]
+        parallel = [None] * len(tasks)
+        for index, _, result in iter_indexed_results(tasks, jobs=4):
+            parallel[index] = result
         assert [r.mis for r in serial] == [r.mis for r in parallel]
         assert [r.seed for r in serial] == [r.seed for r in parallel]
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize(
-        "backend", [None, "serial", "thread", "process", "async", "socket"])
+    @pytest.mark.parametrize("backend", [None, "serial", "process", "socket"])
     def test_sweep_rows_byte_identical_across_backends_and_jobs(
             self, backend, jobs, serial_baseline, request, monkeypatch):
         """The cross-backend equivalence matrix.
@@ -266,8 +265,7 @@ class TestSerialParallelEquivalence:
         assert sweep.fits("awake_max") == serial_baseline.fits("awake_max")
         assert sweep.all_verified and serial_baseline.all_verified
 
-    @pytest.mark.parametrize(
-        "backend", ["serial", "thread", "process", "async", "socket"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "socket"])
     @pytest.mark.parametrize("scheduler",
                              ["fifo", "large-first", "cost-model"])
     def test_sweep_rows_byte_identical_across_schedulers(
@@ -335,14 +333,14 @@ class TestSerialParallelEquivalence:
         assert repr(sweep.rows()) == repr(serial_baseline.rows())
         assert sweep.fits("awake_max") == serial_baseline.fits("awake_max")
 
-    @pytest.mark.parametrize(
-        "backend", ["serial", "thread", "process", "async", "socket"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "socket",
+                                         None])
     def test_stream_covers_every_task_on_every_backend(self, backend,
                                                        request, monkeypatch):
         _enable_socket(backend, request, monkeypatch)
         tasks = plan_sweep_tasks(**GRID)
-        pairs = list(iter_task_results(tasks, jobs=2, backend=backend))
-        assert sorted(t.run_seed for t, _ in pairs) == sorted(
+        triples = list(iter_indexed_results(tasks, jobs=2, backend=backend))
+        assert sorted(t.run_seed for _, t, _ in triples) == sorted(
             t.run_seed for t in tasks)
 
     def test_sweep_with_algorithm_params_matches_across_jobs(self):
@@ -455,10 +453,10 @@ class TestGraphCacheConfiguration:
         assert GRAPH_CACHE_ENV in capsys.readouterr().err
 
     def test_counters_reach_backend_telemetry(self):
-        from repro.experiments.backends import SerialBackend
+        from repro.experiments.backends import resolve_backend
         from repro.experiments.sweeps import run_sweep
 
-        backend = SerialBackend()
+        backend = resolve_backend("serial")
         run_sweep(["luby", "vt_mis"], [16], repetitions=1, seed=5,
                   backend=backend)
         cache = backend.telemetry()["graph_cache"]

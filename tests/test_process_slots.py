@@ -19,7 +19,7 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.backends import SocketBackend
+from repro.experiments.backends import make_backend
 from repro.experiments.shm_cache import SEGMENT_PREFIX, active_segments
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.worker import serve
@@ -46,7 +46,7 @@ class TestProcessSlotEquivalence:
             self, spawn_socket_worker, serial_rows, start_method):
         process, address = spawn_socket_worker(
             slots=2, start_method=start_method)
-        sweep = run_sweep(**GRID, backend=SocketBackend(
+        sweep = run_sweep(**GRID, backend=make_backend(
             workers=f"{address}*2"))
         assert (repr(sweep.rows()),
                 repr(sweep.fits("awake_max"))) == serial_rows
@@ -57,7 +57,7 @@ class TestProcessSlotEquivalence:
         """--slot-mode thread restores the historical in-process slots;
         the bytes must not care which mode served them."""
         process, address = spawn_socket_worker(slots=2, slot_mode="thread")
-        sweep = run_sweep(**GRID, backend=SocketBackend(
+        sweep = run_sweep(**GRID, backend=make_backend(
             workers=f"{address}*2"))
         assert (repr(sweep.rows()),
                 repr(sweep.fits("awake_max"))) == serial_rows
@@ -69,7 +69,7 @@ class TestProcessSlotEquivalence:
         """--slots 1 defaults to thread mode, but process mode can be
         forced explicitly — and still matches serial."""
         _, address = spawn_socket_worker(slots=1, slot_mode="process")
-        sweep = run_sweep(**GRID, backend=SocketBackend(workers=address))
+        sweep = run_sweep(**GRID, backend=make_backend(workers=address))
         assert (repr(sweep.rows()),
                 repr(sweep.fits("awake_max"))) == serial_rows
 
@@ -80,7 +80,7 @@ class TestSlotProcessTelemetry:
         two slots of one worker report two distinct pids, neither of
         which is the serving process."""
         process, address = spawn_socket_worker(slots=2)
-        backend = SocketBackend(workers=f"{address}*2")
+        backend = make_backend(workers=f"{address}*2")
         run_sweep(**GRID, backend=backend)
         (row,) = backend.telemetry()["workers"]
         pids = row["worker_pids"]
@@ -91,7 +91,7 @@ class TestSlotProcessTelemetry:
     def test_thread_slots_report_the_serving_process(
             self, spawn_socket_worker):
         process, address = spawn_socket_worker(slots=2, slot_mode="thread")
-        backend = SocketBackend(workers=f"{address}*2")
+        backend = make_backend(workers=f"{address}*2")
         run_sweep(**GRID, backend=backend)
         (row,) = backend.telemetry()["workers"]
         assert row["worker_pids"] == [process.pid]
@@ -106,7 +106,7 @@ class TestSegmentLifecycle:
         point); after SIGTERM the worker's shutdown path must have
         unlinked them all."""
         process, address = spawn_socket_worker(slots=2)
-        run_sweep(**GRID, backend=SocketBackend(workers=f"{address}*2"))
+        run_sweep(**GRID, backend=make_backend(workers=f"{address}*2"))
         assert _worker_segments(process.pid)  # cache is warm
 
         process.terminate()
@@ -118,7 +118,7 @@ class TestSegmentLifecycle:
         """A --max-connections worker that exits on its own budget takes
         the same unlink path as SIGTERM."""
         process, address = spawn_socket_worker(slots=2, max_connections=2)
-        run_sweep(**GRID, backend=SocketBackend(workers=f"{address}*2"))
+        run_sweep(**GRID, backend=make_backend(workers=f"{address}*2"))
         assert process.wait(timeout=10) == 0
         assert _worker_segments(process.pid) == []
 

@@ -398,7 +398,7 @@ class TestShardedStore:
         executed = []
         with pytest.warns(UserWarning):
             resumed = run_sweep(
-                **GRID, jobs=2, backend="thread", keep_runs=False,
+                **GRID, jobs=2, backend="process", keep_runs=False,
                 store=ShardedResultStore(base, shards=resume_shards),
                 resume=True,
                 progress=lambda task, *rest: executed.append(task))

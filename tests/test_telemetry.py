@@ -195,27 +195,27 @@ class TestConnectionStats:
 
 class TestEndToEndTelemetry:
     @pytest.mark.slow
-    def test_subprocess_sweep_reports_real_counters(self):
-        """A real windowed subprocess sweep must account for every task:
+    def test_socket_sweep_reports_real_counters(self, socket_workers):
+        """A real windowed socket sweep must account for every task:
         acks == tasks sent == tasks planned, bytes flow both ways, and
         the estimator collects one sample per acked task."""
         from repro.experiments.backends import ComposedBackend
         from repro.experiments.executor import plan_sweep_tasks
         from repro.experiments.sweeps import run_sweep
-        from repro.experiments.transports import SubprocessTransport
+        from repro.experiments.transports import SocketTransport
 
         grid = dict(algorithms=["luby"], sizes=[16], repetitions=6, seed=3)
-        backend = ComposedBackend(
-            transport=SubprocessTransport(window=4, max_batch=2), jobs=2)
-        sweep = run_sweep(**grid, jobs=2, backend=backend)
+        backend = ComposedBackend(transport=SocketTransport(
+            socket_workers, window=4, max_batch=2))
+        sweep = run_sweep(**grid, backend=backend)
         planned = len(plan_sweep_tasks(**grid))
 
         telemetry = sweep.telemetry
         assert telemetry is not None
-        assert telemetry["transport"] == "subprocess"
+        assert telemetry["transport"] == "socket"
         assert telemetry["scheduler"] == {"name": "fifo", "requeues": 0}
         rows = telemetry["workers"]
-        assert rows, "windowed subprocess sweeps must report telemetry"
+        assert rows, "windowed socket sweeps must report telemetry"
         total = {key: sum(row[key] for row in rows)
                  for key in ("tasks_sent", "acks", "frames_sent",
                              "bytes_sent", "bytes_received", "rtt_samples")}
@@ -233,11 +233,11 @@ class TestEndToEndTelemetry:
         """The inline transport has no framed connections: telemetry is
         present but its worker table is empty (and format_telemetry says
         so instead of printing a header-only table)."""
-        from repro.experiments.backends import SerialBackend
+        from repro.experiments.backends import resolve_backend
         from repro.experiments.sweeps import run_sweep
         from repro.experiments.tables import format_telemetry
 
-        backend = SerialBackend()
+        backend = resolve_backend("serial")
         sweep = run_sweep(algorithms=["luby"], sizes=[16], repetitions=2,
                           seed=3, backend=backend)
         telemetry = sweep.telemetry
@@ -245,6 +245,24 @@ class TestEndToEndTelemetry:
         assert telemetry["workers"] == []
         text = format_telemetry(telemetry)
         assert "no framed connections" in text
+
+    def test_process_sweep_reports_no_worker_rows(self):
+        """The process pool has no framed connections either: telemetry
+        names the transport and scheduler, with an empty worker table."""
+        from repro.experiments.backends import resolve_backend
+        from repro.experiments.sweeps import run_sweep
+        from repro.experiments.tables import format_telemetry
+
+        backend = resolve_backend("process", jobs=2)
+        sweep = run_sweep(algorithms=["luby"], sizes=[16], repetitions=2,
+                          seed=3, jobs=2, backend=backend)
+        telemetry = sweep.telemetry
+        assert telemetry is not None
+        assert telemetry["transport"] == "process"
+        assert telemetry["scheduler"] == {"name": "fifo", "requeues": 0}
+        assert telemetry["restarts"] == 0
+        assert telemetry["workers"] == []
+        assert "no framed connections" in format_telemetry(telemetry)
 
 
 class TestPrimedWeighting:

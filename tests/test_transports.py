@@ -17,17 +17,14 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, WorkerCrashError
-from repro.experiments.backends import ComposedBackend, SocketBackend
-from repro.experiments.executor import iter_task_results, plan_sweep_tasks
+from repro.experiments.backends import ComposedBackend, make_backend
+from repro.experiments.executor import iter_indexed_results, plan_sweep_tasks
 from repro.experiments.store import CODE_SCHEMA_VERSION
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.transports import (
     ADAPTIVE_WINDOW_CAP,
-    TRANSPORTS,
     WORKER_FAULT_DIR_ENV,
     SocketTransport,
-    SubprocessTransport,
-    available_transports,
     parse_worker_addresses,
     resolve_max_batch,
     resolve_transport,
@@ -60,24 +57,9 @@ class TestResolveTransport:
         assert resolve_transport(None, jobs=1).name == "inline"
         assert resolve_transport(None, jobs=4).name == "process"
 
-    def test_names_resolve_to_their_classes(self):
-        for name, cls in TRANSPORTS.items():
-            assert isinstance(resolve_transport(name), cls)
-
     def test_objects_pass_through(self):
         transport = SocketTransport("127.0.0.1:1")
         assert resolve_transport(transport) is transport
-
-    def test_unknown_name_rejected_with_known_list(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            resolve_transport("carrier-pigeon")
-        message = str(excinfo.value)
-        assert "unknown transport 'carrier-pigeon'" in message
-        for name in available_transports():
-            assert name in message
-
-    def test_available_transports_is_sorted(self):
-        assert available_transports() == sorted(TRANSPORTS)
 
 
 class TestWorkerAddresses:
@@ -150,7 +132,7 @@ class TestListenAddresses:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()  # free the port again; nothing listens now
-        backend = SocketBackend(workers=f"127.0.0.1:{port}")
+        backend = make_backend(workers=f"127.0.0.1:{port}")
         tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                  repetitions=1, seed=1)
         with pytest.raises(ConfigurationError, match="cannot reach worker"):
@@ -160,7 +142,7 @@ class TestListenAddresses:
 class TestSocketEquivalenceAndReuse:
     def test_sweep_byte_identical_to_serial(self, socket_workers):
         serial = run_sweep(**GRID)
-        over_tcp = run_sweep(**GRID, backend=SocketBackend(
+        over_tcp = run_sweep(**GRID, backend=make_backend(
             workers=socket_workers))
         assert repr(over_tcp.rows()) == repr(serial.rows())
         assert over_tcp.fits("awake_max") == serial.fits("awake_max")
@@ -170,7 +152,7 @@ class TestSocketEquivalenceAndReuse:
         same two worker processes, both byte-identical to serial."""
         serial = run_sweep(**GRID)
         for _ in range(2):
-            again = run_sweep(**GRID, backend=SocketBackend(
+            again = run_sweep(**GRID, backend=make_backend(
                 workers=socket_workers))
             assert repr(again.rows()) == repr(serial.rows())
 
@@ -188,7 +170,7 @@ class TestMultiSlotWorker:
     def test_one_process_two_slots_byte_identical_to_serial(
             self, multislot_socket_worker):
         serial = run_sweep(**GRID)
-        sweep = run_sweep(**GRID, backend=SocketBackend(
+        sweep = run_sweep(**GRID, backend=make_backend(
             workers=multislot_socket_worker))
         assert repr(sweep.rows()) == repr(serial.rows())
         assert sweep.fits("awake_max") == serial.fits("awake_max")
@@ -199,7 +181,7 @@ class TestMultiSlotWorker:
         the same 2-slot process serves back-to-back sweeps."""
         serial = run_sweep(**GRID)
         for _ in range(2):
-            again = run_sweep(**GRID, backend=SocketBackend(
+            again = run_sweep(**GRID, backend=make_backend(
                 workers=multislot_socket_worker))
             assert repr(again.rows()) == repr(serial.rows())
 
@@ -217,7 +199,7 @@ class TestMultiSlotWorker:
         proc, address = spawn_socket_worker(
             extra_env={WORKER_FAULT_DIR_ENV: str(tmp_path)}, slots=2)
 
-        backend = SocketBackend(workers=f"{address}*2")
+        backend = make_backend(workers=f"{address}*2")
         recovered = run_sweep(**GRID, backend=backend)
 
         assert not marker.exists()  # the fault actually fired
@@ -243,7 +225,7 @@ class TestMultiSlotWorker:
         assert proc.poll() is None  # the junk did not burn the budget
 
         serial = run_sweep(**GRID)
-        sweep = run_sweep(**GRID, backend=SocketBackend(workers=address))
+        sweep = run_sweep(**GRID, backend=make_backend(workers=address))
         assert repr(sweep.rows()) == repr(serial.rows())
         # The real sweep was the budgeted connection: the worker exits.
         assert proc.wait(timeout=10) == 0
@@ -270,7 +252,7 @@ class TestMultiSlotWorker:
         assert ready.wait(5)
 
         serial = run_sweep(**GRID)
-        sweep = run_sweep(**GRID, backend=SocketBackend(
+        sweep = run_sweep(**GRID, backend=make_backend(
             workers=f"127.0.0.1:{bound['port']}*2"))
         server.join(timeout=10)
         assert not server.is_alive()  # the budget terminated serve()
@@ -311,8 +293,8 @@ class TestSocketFailureModes:
         workers = [spawn_socket_worker(extra_env=fault_env)
                    for _ in range(2)]
 
-        backend = SocketBackend(workers=",".join(address
-                                                 for _, address in workers))
+        backend = make_backend(workers=",".join(address
+                                                for _, address in workers))
         recovered = run_sweep(**GRID, backend=backend)
 
         assert not marker.exists()  # the fault actually fired
@@ -331,9 +313,9 @@ class TestSocketFailureModes:
         fault_env = {WORKER_FAULT_DIR_ENV: str(tmp_path)}
         addresses = [spawn_socket_worker(extra_env=fault_env)[1]
                      for _ in range(2)]
-        backend = SocketBackend(workers=",".join(addresses))
-        pairs = list(iter_task_results(tasks, backend=backend))
-        assert sorted(t.run_seed for t, _ in pairs) == sorted(
+        backend = make_backend(workers=",".join(addresses))
+        triples = list(iter_indexed_results(tasks, backend=backend))
+        assert sorted(t.run_seed for _, t, _ in triples) == sorted(
             t.run_seed for t in tasks)
 
     def test_all_workers_dead_raises_instead_of_hanging(
@@ -343,7 +325,7 @@ class TestSocketFailureModes:
             self._arm_crash(tmp_path, task)
         fault_env = {WORKER_FAULT_DIR_ENV: str(tmp_path)}
         _, only_address = spawn_socket_worker(extra_env=fault_env)
-        backend = SocketBackend(workers=only_address, max_attempts=5)
+        backend = make_backend(workers=only_address, max_attempts=5)
         with pytest.raises(WorkerCrashError,
                            match="every execution slot was lost"):
             list(backend.submit_tasks(tasks))
@@ -368,7 +350,7 @@ class TestSocketFailureModes:
         thread = threading.Thread(target=impostor, daemon=True)
         thread.start()
         try:
-            backend = SocketBackend(workers=f"127.0.0.1:{port}")
+            backend = make_backend(workers=f"127.0.0.1:{port}")
             tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                      repetitions=1, seed=1)
             with pytest.raises(ConfigurationError,
@@ -429,7 +411,7 @@ class TestSocketFailureModes:
         thread = threading.Thread(target=liar, daemon=True)
         thread.start()
         try:
-            backend = SocketBackend(workers=f"127.0.0.1:{port}")
+            backend = make_backend(workers=f"127.0.0.1:{port}")
             tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                      repetitions=1, seed=1)
             with pytest.raises(KeyError):
@@ -451,7 +433,7 @@ class TestSocketFailureModes:
         time.sleep(0.1)
         assert proc.poll() is None  # the worker did not die
         serial = run_sweep(**GRID)
-        sweep = run_sweep(**GRID, backend=SocketBackend(workers=address))
+        sweep = run_sweep(**GRID, backend=make_backend(workers=address))
         assert repr(sweep.rows()) == repr(serial.rows())
 
     def test_abandoned_run_closes_all_connections(self, socket_workers):
@@ -460,27 +442,27 @@ class TestSocketFailureModes:
         and immediately serve a fresh, byte-identical sweep."""
         serial = run_sweep(**GRID)
         tasks = plan_sweep_tasks(**GRID)
-        stream = iter_task_results(
-            tasks, backend=SocketBackend(workers=socket_workers))
+        stream = iter_indexed_results(
+            tasks, backend=make_backend(workers=socket_workers))
         next(stream)
         stream.close()
         _wait_for_no_transport_threads()
         again = run_sweep(**GRID,
-                          backend=SocketBackend(workers=socket_workers))
+                          backend=make_backend(workers=socket_workers))
         assert repr(again.rows()) == repr(serial.rows())
 
 
 class TestProgressCallbackSafety:
     """A raising progress callback must not leak workers or transports."""
 
-    @pytest.mark.parametrize("transport", ["thread", "subprocess", "socket"])
+    @pytest.mark.parametrize("name", ["process", "socket", "serial"])
     def test_raising_callback_shuts_transport_down_and_re_raises(
-            self, transport, request, monkeypatch):
-        if transport == "socket":
+            self, name, request):
+        if name == "socket":
             workers = request.getfixturevalue("socket_workers")
-            backend = SocketBackend(workers=workers)
+            backend = make_backend(workers=workers)
         else:
-            backend = ComposedBackend(transport=transport, jobs=2)
+            backend = make_backend(backend=name, jobs=2)
         tasks = plan_sweep_tasks(**GRID)
 
         class CallbackBoom(RuntimeError):
@@ -494,8 +476,8 @@ class TestProgressCallbackSafety:
                 raise CallbackBoom("progress callback exploded")
 
         with pytest.raises(CallbackBoom):
-            list(iter_task_results(tasks, jobs=2, progress=progress,
-                                   backend=backend))
+            list(iter_indexed_results(tasks, jobs=2, progress=progress,
+                                      backend=backend))
         assert calls  # the callback genuinely fired before raising
         _wait_for_no_transport_threads()
 
@@ -516,7 +498,7 @@ class TestProgressCallbackSafety:
         with pytest.raises(RuntimeError, match="boom"):
             run_sweep(**GRID, store=ResultStore(path),
                       progress=explode_after_three,
-                      backend=SocketBackend(workers=socket_workers))
+                      backend=make_backend(workers=socket_workers))
         _wait_for_no_transport_threads()
 
         # The callback raised while the third result was in hand, so
@@ -526,7 +508,7 @@ class TestProgressCallbackSafety:
         resumed = run_sweep(
             **GRID, store=ResultStore(path), resume=True,
             progress=lambda task, *_: executed.append(task.run_seed),
-            backend=SocketBackend(workers=socket_workers))
+            backend=make_backend(workers=socket_workers))
         assert repr(resumed.rows()) == repr(serial.rows())
         assert len(executed) == len(plan_sweep_tasks(**GRID)) - 2
 
@@ -536,22 +518,16 @@ class TestProgressCallbackSafety:
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            run_sweep(**GRID, jobs=2, backend="async", progress=explode)
+            run_sweep(**GRID, jobs=2, backend="process", progress=explode)
         _wait_for_no_transport_threads()
-        assert repr(run_sweep(**GRID, jobs=2, backend="async").rows()) == \
+        assert repr(run_sweep(**GRID, jobs=2, backend="process").rows()) == \
             repr(run_sweep(**GRID).rows())
 
 
-class TestSubprocessTransportHygiene:
-    def test_no_threads_leak_after_a_normal_sweep(self):
-        run_sweep(**GRID, jobs=2, backend="async")
+class TestSocketTransportHygiene:
+    def test_no_threads_leak_after_a_normal_sweep(self, socket_workers):
+        run_sweep(**GRID, backend=make_backend(workers=socket_workers))
         _wait_for_no_transport_threads()
-
-    def test_restart_counter_counts_replacements_only(self):
-        backend = ComposedBackend(transport="subprocess", jobs=2)
-        run_sweep(algorithms=["luby"], sizes=[16], repetitions=1, seed=1,
-                  backend=backend)
-        assert backend.worker_restarts == 0
 
     def test_concurrent_restart_counts_lose_no_increment(self):
         """Regression for the unsynchronised ``restarts += 1``: many slot
@@ -560,7 +536,7 @@ class TestSubprocessTransportHygiene:
         restarts each must land on exactly 8000."""
         import sys
 
-        transport = SubprocessTransport()
+        transport = SocketTransport()
         barrier = threading.Barrier(16)
 
         def hammer():
@@ -677,7 +653,6 @@ class TestWindowedProtocol:
         assert transport.window == ADAPTIVE_WINDOW_CAP
         assert transport.max_batch == 8
         assert SocketTransport("host:8750").window == ADAPTIVE_WINDOW_CAP
-        assert SubprocessTransport().window == 1  # pipes: no RTT to hide
 
     def test_invalid_window_and_batch_selectors_rejected(self):
         for bad in (0, -3, "turbo", 1.5, True, None):
@@ -690,7 +665,7 @@ class TestWindowedProtocol:
         with pytest.raises(ConfigurationError, match="invalid window"):
             SocketTransport("host:8750", window=0)
         with pytest.raises(ConfigurationError, match="invalid max_batch"):
-            SubprocessTransport(max_batch=0)
+            SocketTransport("host:8750", max_batch=0)
 
     def test_adaptive_window_grows_and_fixed_window_1_does_not(
             self, spawn_socket_worker):
@@ -722,16 +697,6 @@ class TestWindowedProtocol:
             repr(serial.rows())
         assert backend.transport.peak_window == 1
 
-    def test_windowed_subprocess_byte_identical(self):
-        """The windowed protocol is transport-agnostic: worker
-        subprocesses over pipes honour windows and batch frames too."""
-        serial = run_sweep(**self.WGRID)
-        backend = ComposedBackend(
-            transport=SubprocessTransport(window=4, max_batch=4), jobs=2)
-        sweep = run_sweep(**self.WGRID, backend=backend)
-        assert repr(sweep.rows()) == repr(serial.rows())
-        _wait_for_no_transport_threads()
-
     def test_mid_window_connection_kill_requeues_every_in_flight_frame(
             self, tmp_path, spawn_socket_worker):
         """A connection dying with a window full of frames loses nothing:
@@ -748,12 +713,12 @@ class TestWindowedProtocol:
 
         backend = ComposedBackend(transport=SocketTransport(
             f"{address}*2", window=4, max_batch=2))
-        pairs = list(iter_task_results(tasks, backend=backend))
+        triples = list(iter_indexed_results(tasks, backend=backend))
 
         assert not marker.exists()  # the fault actually fired
         assert proc.poll() is None  # connection-scope fault: process lives
         assert backend.worker_restarts >= 1
-        assert sorted(t.run_seed for t, _ in pairs) == sorted(
+        assert sorted(t.run_seed for _, t, _ in triples) == sorted(
             t.run_seed for t in tasks)
         sweep = run_sweep(**self.WGRID, backend=ComposedBackend(
             transport=SocketTransport(f"{address}*2", window=4,
