@@ -2,13 +2,12 @@
 
 Each benchmark file regenerates one experiment of DESIGN.md §3 (E1–E8).  The
 benchmarks print the experiment's table (so running
-``pytest benchmarks/ --benchmark-only -s`` reproduces the EXPERIMENTS.md
-numbers) and use pytest-benchmark to time the underlying measurement, which
+``pytest benchmarks/ --benchmark-only -s`` reproduces every experiment
+table) and use pytest-benchmark to time the underlying measurement, which
 keeps the harness honest about simulation cost.
 
 Sizes are deliberately moderate so the full benchmark suite completes in a
-few minutes on a laptop; pass ``--repro-scale=full`` for the larger sweeps
-recorded in EXPERIMENTS.md.
+few minutes on a laptop; pass ``--repro-scale=full`` for the larger sweeps.
 """
 
 from __future__ import annotations

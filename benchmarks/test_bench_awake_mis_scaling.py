@@ -18,7 +18,7 @@ from repro.graphs import generators
 
 
 def test_bench_e1_scaling_report(benchmark, repro_scale):
-    """Produce the full E1 report (the table EXPERIMENTS.md records)."""
+    """Produce the full E1 report (the E1 row of DESIGN.md §3)."""
     report = benchmark.pedantic(
         experiment_e1, args=(repro_scale,), kwargs={"seed": 1},
         rounds=1, iterations=1,

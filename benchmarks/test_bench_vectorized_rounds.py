@@ -10,8 +10,11 @@ Byte-identity is asserted first (outputs, per-node awake/message/round
 counters, ``awake_by_label`` — the engine contract), then the speedup:
 the ≥5× floor is part of the engine's acceptance criteria, measured
 best-of-N on both sides so a transient scheduler stall on a shared CI
-runner cannot fail it spuriously.  Both engines' throughput lands in the
-perf-trajectory file (``vectorized_luby_tasks_per_second`` /
+runner cannot fail it spuriously.  The two engines' runs are interleaved,
+with vectorized runs first and last, so a host slowdown long enough to
+cover every vectorized run covers every generator run as well.  Both
+engines' throughput lands in the perf-trajectory file
+(``vectorized_luby_tasks_per_second`` /
 ``generator_luby_tasks_per_second``) and is gated by
 ``compare_bench.py`` against ``BENCH_seed.json``.
 """
@@ -37,6 +40,23 @@ RUNS_BY_SCALE = {"smoke": (2, 4), "default": (3, 5), "full": (3, 6)}
 SPEEDUP_FLOOR = 5.0
 
 GRAPH_SEED = 5
+
+
+def _run_order(generator_runs, vectorized_runs):
+    """Interleaved ``(vectorized, run)`` schedule.
+
+    Generator runs are spread evenly between vectorized runs, and a
+    vectorized run comes first and last: any stretch of time that holds
+    every vectorized run then holds every generator run too.
+    """
+    order = []
+    for run in range(vectorized_runs):
+        order.append((True, run))
+        order.extend(
+            (False, g) for g in range(generator_runs)
+            if max(1, (g + 1) * vectorized_runs // (generator_runs + 1))
+            == run + 1)
+    return order
 
 
 def _summarize(result):
@@ -66,15 +86,12 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
     assert list(warm_vectorized.outputs) == list(warm_generator.outputs)
 
     generator_times = []
-    for run in range(generator_runs):
-        started = time.perf_counter()
-        run_protocol(csr, luby_protocol, seed=run + 1, vectorized=False)
-        generator_times.append(time.perf_counter() - started)
     vectorized_times = []
-    for run in range(vectorized_runs):
+    for vectorized, run in _run_order(generator_runs, vectorized_runs):
         started = time.perf_counter()
-        run_protocol(csr, luby_protocol, seed=run + 1, vectorized=True)
-        vectorized_times.append(time.perf_counter() - started)
+        run_protocol(csr, luby_protocol, seed=run + 1, vectorized=vectorized)
+        elapsed = time.perf_counter() - started
+        (vectorized_times if vectorized else generator_times).append(elapsed)
 
     generator_seconds = sum(generator_times)
     vectorized_seconds = sum(vectorized_times)

@@ -51,7 +51,7 @@ def main() -> int:
     print(
         "Awake-MIS's curve is essentially flat across the sweep (the\n"
         "log log n regime), while the baselines track log n.  Absolute\n"
-        "constants are discussed in EXPERIMENTS.md."
+        "constants are discussed in DESIGN.md, section 3."
     )
     return 0
 

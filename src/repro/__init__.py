@@ -13,7 +13,7 @@ The package implements, from scratch in Python:
   :mod:`repro.ldt`, :mod:`repro.analysis`),
 * workload generators (:mod:`repro.graphs`) and an experiment harness
   (:mod:`repro.experiments`) that regenerates every claim catalogued in
-  ``EXPERIMENTS.md``.
+  ``DESIGN.md`` §3.
 
 Quickstart
 ----------

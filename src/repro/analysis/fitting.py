@@ -5,7 +5,7 @@ versus the O(log n) of the baselines), so the experiment reports do not try
 to match absolute constants; instead each measured series ``(n, value)`` is
 fitted — by least squares over the scale ``a * f(n) + b`` — against the
 candidate growth laws the paper distinguishes, and the report states which
-law fits best.  That is the "shape" comparison EXPERIMENTS.md records.
+law fits best.  That is the "shape" comparison of DESIGN.md §3.
 """
 
 from __future__ import annotations

@@ -274,7 +274,9 @@ def run_mis(
     Parameters
     ----------
     graph:
-        Any simple undirected graph.
+        Any simple undirected graph with integer node labels (a networkx
+        graph or a CSR-backed view); other labels raise
+        :class:`ConfigurationError`.
     algorithm:
         One of :func:`available_algorithms`.
     seed:

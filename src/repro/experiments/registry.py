@@ -3,7 +3,7 @@
 Each experiment is a callable that takes a *scale* ("smoke", "default",
 "full") and a seed, runs the corresponding measurement, and returns an
 :class:`ExperimentReport` containing printable rows, an optional growth-law
-fit, and the claim-vs-measured verdict that EXPERIMENTS.md records.  The
+fit, and the claim-vs-measured verdict described in DESIGN.md §3.  The
 benchmarks under ``benchmarks/`` and the CLI (``repro-mis experiment E1``)
 both dispatch through this registry, so the paper-facing artefacts are
 regenerated from exactly one code path.
@@ -34,8 +34,8 @@ from repro.rng import SeedLike
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.store import ResultStore
 
-#: Sweep sizes per scale level.  "smoke" keeps CI fast; "full" is what the
-#: recorded EXPERIMENTS.md numbers were produced with.
+#: Sweep sizes per scale level.  "smoke" keeps CI fast; "full" is the
+#: largest grid.
 SCALE_SIZES: Dict[str, List[int]] = {
     "smoke": [32, 64],
     "default": [64, 128, 256],
@@ -174,7 +174,7 @@ def experiment_e2(scale: str = "default", seed: SeedLike = 2,
     report.notes = (
         "Absolute awake constants of Awake-MIS are dominated by the LDT "
         "construction; the claim under test is the growth shape, not the "
-        "crossover point (see EXPERIMENTS.md)."
+        "crossover point (see DESIGN.md, section 3)."
     )
     return report
 

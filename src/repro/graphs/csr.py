@@ -10,11 +10,12 @@ arrays:
 - ``arrivals`` (``2m`` words): ``arrivals[offsets[i] + p]`` is the port on
   which node ``i``'s port-``p`` neighbour receives messages *from* ``i`` —
   precomputed so a network view needs no per-node dictionaries at all.
-- ``labels`` (``n`` words): the original node labels, in ``graph.nodes``
-  order.  Rows are built in this same order and per-row neighbours are
-  sorted by index, exactly mirroring :class:`repro.sim.network.Network`'s
-  port numbering, so simulations over either representation are
-  byte-identical.
+- ``labels`` (``n`` words): the original (integer) node labels, in
+  ``graph.nodes`` order.  Rows are built in this same order and per-row
+  neighbours are sorted by index, which *is* the simulator's port
+  numbering: :class:`repro.sim.network.Network` routes every message
+  through these arrays, and it is the simulator's only network
+  representation.
 
 The arrays serialise into one contiguous buffer (``pack_into`` /
 ``from_buffer``) with a small header, which is what the worker's
@@ -114,9 +115,11 @@ class CSRGraph:
     def from_graph(cls, graph: Any) -> "CSRGraph":
         """Build CSR arrays from a networkx-style graph.
 
-        Node order and per-row neighbour order match what
-        ``Network(graph)`` computes, so port numbering — and therefore
-        every simulated byte — is identical between representations.
+        Rows follow ``graph.nodes`` order and each row lists neighbour
+        indices ascending, so port ``p`` of node ``i`` is its ``p``-th
+        smallest neighbour index.  ``repro.sim.network.build_network``
+        converts every networkx graph through here.  Rejects directed
+        graphs, multigraphs, self-loops and non-integer node labels.
         """
         if graph.is_directed() or graph.is_multigraph():
             raise ConfigurationError(
@@ -347,8 +350,8 @@ class CSRGraphView:
     Exposes exactly what ``run_mis`` and the MIS verifiers touch:
     ``nodes`` / ``edges`` views, ``neighbors``, node/edge counts, and the
     directed/multigraph predicates.  ``run_protocol`` recognises this
-    type and builds a zero-copy :class:`repro.sim.network.CSRNetwork`
-    instead of re-deriving adjacency dictionaries.
+    type and wraps it in a :class:`repro.sim.network.Network` without
+    copying or converting anything.
     """
 
     __slots__ = ("_csr", "_index_of")

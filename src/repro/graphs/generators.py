@@ -182,8 +182,9 @@ FAMILIES = {
 def to_csr(graph: nx.Graph):
     """Convert *graph* to flat CSR arrays (:class:`repro.graphs.csr.CSRGraph`).
 
-    Port numbering matches ``Network(graph)`` exactly, so simulating over
-    the CSR representation is byte-identical to the adjacency-list one.
+    This is the same conversion ``build_network(graph)`` applies, so a
+    graph converted here simulates byte-identically to the networkx graph
+    it came from.
     """
     from repro.graphs.csr import CSRGraph
 

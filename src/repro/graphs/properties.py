@@ -18,13 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import networkx as nx
+import numpy as np
 
 from repro.graphs.csr import CSRGraph, CSRGraphView
-
-try:  # optional: CSR statistics fall back to per-row loops without numpy
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _numpy = None
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,6 @@ def _csr_component_labels(csr: CSRGraph):
     path graph converges in O(log n) compression steps per sweep rather
     than one sweep per hop.
     """
-    np = _numpy
     offsets, neighbors, _, _ = csr.as_arrays()
     n = csr.n
     comp = np.arange(n, dtype=np.int64)
@@ -95,14 +90,14 @@ def _csr_component_counts(csr: CSRGraph) -> List[int]:
     """Connected-component sizes of *csr* (unordered)."""
     if csr.n == 0:
         return []
-    _, counts = _numpy.unique(_csr_component_labels(csr), return_counts=True)
+    _, counts = np.unique(_csr_component_labels(csr), return_counts=True)
     return [int(count) for count in counts]
 
 
 def graph_stats(graph) -> GraphStats:
     """Compute :class:`GraphStats` for *graph* (networkx or CSR-backed)."""
     csr = _as_csr(graph)
-    if csr is not None and _numpy is not None:
+    if csr is not None:
         offsets = csr.as_arrays()[0]
         degrees = offsets[1:] - offsets[:-1]
         counts = _csr_component_counts(csr)
@@ -131,7 +126,7 @@ def graph_stats(graph) -> GraphStats:
 def component_sizes(graph) -> List[int]:
     """Return connected-component sizes in decreasing order."""
     csr = _as_csr(graph)
-    if csr is not None and _numpy is not None:
+    if csr is not None:
         return sorted(_csr_component_counts(csr), reverse=True)
     return sorted((len(c) for c in nx.connected_components(graph)), reverse=True)
 
@@ -139,10 +134,10 @@ def component_sizes(graph) -> List[int]:
 def degree_histogram(graph) -> Dict[int, int]:
     """Return ``{degree: count}`` for *graph*."""
     csr = _as_csr(graph)
-    if csr is not None and _numpy is not None:
+    if csr is not None:
         offsets = csr.as_arrays()[0]
         degrees = offsets[1:] - offsets[:-1]
-        counts = _numpy.bincount(degrees) if csr.n else _numpy.empty(0, int)
+        counts = np.bincount(degrees) if csr.n else np.empty(0, int)
         return {int(degree): int(count)
                 for degree, count in enumerate(counts) if count}
     histogram: Dict[int, int] = {}

@@ -1,178 +1,42 @@
-"""Port-numbered anonymous network built from a ``networkx`` graph.
+"""Port-numbered anonymous network over flat CSR arrays.
 
 The network fixes, for every node, an arbitrary but deterministic numbering
-of its incident edges (its *ports*).  Protocols address neighbours only by
-port number; the mapping from ports to graph nodes lives here and is used by
-the runner to route messages and by the harness to translate protocol
-outputs back to graph node labels.
+of its incident edges (its *ports*): port ``p`` of node ``i`` leads to the
+``p``-th smallest neighbour index, with indices taken in ``graph.nodes``
+order.  Protocols address neighbours only by port number; the mapping from
+ports to graph nodes lives here and is used by the runner to route messages
+and by the harness to translate protocol outputs back to graph node labels.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.errors import ConfigurationError
 from repro.graphs.csr import CSRGraph, CSRGraphView
 
 
-@dataclass(frozen=True)
-class PortMap:
-    """Port tables for one node.
-
-    ``neighbors[p]`` is the global index of the neighbour reached through
-    port ``p`` and ``port_of[u]`` is the port leading to global index ``u``.
-    """
-
-    neighbors: Tuple[int, ...]
-    port_of: Dict[int, int]
-
-
 class Network:
-    """An anonymous, port-numbered view of an undirected graph.
+    """An anonymous, port-numbered view of a :class:`CSRGraph`.
 
-    Parameters
-    ----------
-    graph:
-        Any simple undirected :class:`networkx.Graph`.  Self-loops are
-        rejected (the model has none); multigraphs are rejected.
-    """
-
-    def __init__(self, graph: nx.Graph) -> None:
-        if graph.is_directed() or graph.is_multigraph():
-            raise ConfigurationError(
-                "the SLEEPING-CONGEST simulator requires a simple undirected graph"
-            )
-        if any(u == v for u, v in graph.edges):
-            raise ConfigurationError("self-loops are not allowed")
-        self._graph = graph
-        self._labels: List[Any] = list(graph.nodes)
-        self._index_of: Dict[Any, int] = {
-            label: index for index, label in enumerate(self._labels)
-        }
-        self._ports: List[PortMap] = []
-        for label in self._labels:
-            neighbor_indices = tuple(
-                sorted(self._index_of[v] for v in graph.neighbors(label))
-            )
-            port_of = {u: p for p, u in enumerate(neighbor_indices)}
-            self._ports.append(PortMap(neighbors=neighbor_indices, port_of=port_of))
-
-    # ------------------------------------------------------------------ #
-    # Size / lookup helpers
-    # ------------------------------------------------------------------ #
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying graph object (not copied)."""
-        return self._graph
-
-    @property
-    def size(self) -> int:
-        """Number of nodes."""
-        return len(self._labels)
-
-    @property
-    def edge_count(self) -> int:
-        """Number of edges."""
-        return self._graph.number_of_edges()
-
-    def labels(self) -> List[Any]:
-        """Graph node labels in simulator index order."""
-        return list(self._labels)
-
-    def label_of(self, index: int) -> Any:
-        """Return the graph label of simulator index *index*."""
-        return self._labels[index]
-
-    def index_of(self, label: Any) -> int:
-        """Return the simulator index of graph node *label*."""
-        return self._index_of[label]
-
-    def degree(self, index: int) -> int:
-        """Return the degree of the node with simulator index *index*."""
-        return len(self._ports[index].neighbors)
-
-    def neighbor_via_port(self, index: int, port: int) -> int:
-        """Return the simulator index reached from *index* through *port*."""
-        ports = self._ports[index]
-        if not 0 <= port < len(ports.neighbors):
-            raise ConfigurationError(
-                f"node {self._labels[index]} has ports 0..{len(ports.neighbors) - 1}, "
-                f"got {port}"
-            )
-        return ports.neighbors[port]
-
-    def port_towards(self, index: int, neighbor_index: int) -> int:
-        """Return the port of *index* leading to *neighbor_index*."""
-        ports = self._ports[index]
-        if neighbor_index not in ports.port_of:
-            raise ConfigurationError(
-                f"nodes {self._labels[index]} and {self._labels[neighbor_index]} "
-                "are not adjacent"
-            )
-        return ports.port_of[neighbor_index]
-
-    def max_degree(self) -> int:
-        """Return the maximum degree of the network (0 for edgeless graphs)."""
-        if not self._labels:
-            return 0
-        return max(len(p.neighbors) for p in self._ports)
-
-    # ------------------------------------------------------------------ #
-    # Flat routing tables (simulator fast path)
-    # ------------------------------------------------------------------ #
-    def neighbor_tables(self) -> List[Tuple[int, ...]]:
-        """Per-node neighbour tables: ``tables[u][p]`` is the index reached
-        from node ``u`` through port ``p``.
-
-        Equivalent to :meth:`neighbor_via_port` without the per-call bounds
-        check; the runner validates ports once per :class:`WakeCall` and then
-        routes every message through these flat tables.
-        """
-        return [ports.neighbors for ports in self._ports]
-
-    def arrival_port_tables(self) -> List[Tuple[int, ...]]:
-        """Per-node arrival tables: ``tables[u][p]`` is the port on which the
-        neighbour reached from ``u`` through port ``p`` receives ``u``'s
-        messages (i.e. ``port_towards(neighbor_via_port(u, p), u)``).
-        """
-        return [
-            tuple(self._ports[v].port_of[u] for v in ports.neighbors)
-            for u, ports in enumerate(self._ports)
-        ]
-
-    def csr_tables(self) -> Optional[Tuple[Sequence[int], Sequence[int],
-                                           Sequence[int]]]:
-        """Flat ``(offsets, neighbors, arrivals)`` arrays, if CSR-backed.
-
-        The adjacency-list network returns ``None``; the runner falls back
-        to the per-node tables above.
-        """
-        return None
-
-
-class CSRNetwork:
-    """A port-numbered network over flat CSR arrays — zero extra copies.
-
-    Drop-in for :class:`Network` (same accessor surface), but built
-    directly from a :class:`repro.graphs.csr.CSRGraph`: the arrival ports
-    were precomputed when the CSR arrays were built, so construction is
-    O(1) even when the arrays live in a shared-memory segment mapped by a
-    worker slot process.  CSR rows are sorted by neighbour index — the
-    exact port numbering ``Network`` derives — so both views simulate
-    byte-identically (pinned by ``tests/test_csr.py``).
+    The arrival ports were precomputed when the CSR arrays were built, so
+    construction is O(1) even when the arrays live in a shared-memory
+    segment mapped by a worker slot process.  Use :func:`build_network`
+    to simulate a networkx graph.
     """
 
     def __init__(self, csr: "CSRGraph | CSRGraphView") -> None:
         if isinstance(csr, CSRGraphView):
             self._view = csr
             self._csr = csr.csr
-        else:
+        elif isinstance(csr, CSRGraph):
             self._csr = csr
             self._view = csr.view()
+        else:
+            raise ConfigurationError(
+                "Network takes a CSRGraph or CSRGraphView; use "
+                f"build_network() for a {type(csr).__name__}")
         self._index_of: Optional[Dict[Any, int]] = None
 
     # ------------------------------------------------------------------ #
@@ -185,28 +49,35 @@ class CSRNetwork:
 
     @property
     def size(self) -> int:
+        """Number of nodes."""
         return self._csr.n
 
     @property
     def edge_count(self) -> int:
+        """Number of edges."""
         return self._csr.m
 
     def labels(self) -> List[Any]:
+        """Graph node labels in simulator index order."""
         return list(self._csr.labels)
 
     def label_of(self, index: int) -> Any:
+        """Return the graph label of simulator index *index*."""
         return self._csr.labels[index]
 
     def index_of(self, label: Any) -> int:
+        """Return the simulator index of graph node *label*."""
         if self._index_of is None:
             self._index_of = {node: index for index, node
                               in enumerate(self._csr.labels)}
         return self._index_of[label]
 
     def degree(self, index: int) -> int:
+        """Return the degree of the node with simulator index *index*."""
         return self._csr.degree(index)
 
     def neighbor_via_port(self, index: int, port: int) -> int:
+        """Return the simulator index reached from *index* through *port*."""
         degree = self._csr.degree(index)
         if not 0 <= port < degree:
             raise ConfigurationError(
@@ -216,6 +87,7 @@ class CSRNetwork:
         return self._csr.neighbors[self._csr.offsets[index] + port]
 
     def port_towards(self, index: int, neighbor_index: int) -> int:
+        """Return the port of *index* leading to *neighbor_index*."""
         row = self._csr.neighbor_row(index)
         port = bisect_left(row, neighbor_index)
         if port >= len(row) or row[port] != neighbor_index:
@@ -226,43 +98,32 @@ class CSRNetwork:
         return port
 
     def max_degree(self) -> int:
+        """Return the maximum degree of the network (0 for edgeless graphs)."""
         if self._csr.n == 0:
             return 0
-        try:
-            offsets, _, _, _ = self._csr.as_arrays()
-        except ConfigurationError:  # pragma: no cover - numpy-less hosts
-            offsets = self._csr.offsets
-            return max(offsets[index + 1] - offsets[index]
-                       for index in range(self._csr.n))
+        offsets = self._csr.as_arrays()[0]
         return int((offsets[1:] - offsets[:-1]).max())
-
-    # ------------------------------------------------------------------ #
-    # Flat routing tables (simulator fast path)
-    # ------------------------------------------------------------------ #
-    def neighbor_tables(self) -> List[memoryview]:
-        """Per-node neighbour tables as zero-copy slices of the flat array."""
-        csr = self._csr
-        return [csr.neighbor_row(index) for index in range(csr.n)]
-
-    def arrival_port_tables(self) -> List[memoryview]:
-        """Per-node arrival tables as zero-copy slices of the flat array."""
-        csr = self._csr
-        return [csr.arrival_row(index) for index in range(csr.n)]
 
     def csr_tables(self) -> Tuple[Sequence[int], Sequence[int],
                                   Sequence[int]]:
-        """The flat ``(offsets, neighbors, arrivals)`` arrays themselves."""
+        """The flat ``(offsets, neighbors, arrivals)`` routing arrays.
+
+        Port ``p`` of node ``u`` reaches ``neighbors[offsets[u] + p]``,
+        which receives ``u``'s messages on port
+        ``arrivals[offsets[u] + p]``.
+        """
         csr = self._csr
         return (csr.offsets, csr.neighbors, csr.arrivals)
 
 
-def build_network(graph: Any) -> "Network | CSRNetwork":
-    """Build the right network view for *graph*.
+def build_network(graph: Any) -> Network:
+    """Build the :class:`Network` for *graph*.
 
-    CSR-backed graphs (:class:`CSRGraphView` / :class:`CSRGraph`) get the
-    zero-copy :class:`CSRNetwork`; anything networkx-like gets the
-    classic :class:`Network`.
+    CSR-backed graphs (:class:`CSRGraphView` / :class:`CSRGraph`) are
+    wrapped without copying; a networkx graph is converted once with
+    :meth:`CSRGraph.from_graph`, which rejects directed graphs,
+    multigraphs, self-loops and non-integer node labels.
     """
     if isinstance(graph, (CSRGraphView, CSRGraph)):
-        return CSRNetwork(graph)
-    return Network(graph)
+        return Network(graph)
+    return Network(CSRGraph.from_graph(graph))

@@ -1,12 +1,13 @@
 """The SLEEPING-CONGEST round driver.
 
 :class:`Simulator` executes one protocol instance per node of a
-:class:`repro.sim.network.Network`.  Protocols are generator functions (see
-:mod:`repro.sim.actions`); the driver advances global time from one *active*
-round to the next, so algorithms whose round complexity is huge but whose
-awake complexity is small (the whole point of the paper) simulate in time
-proportional to the total number of awake node-rounds, not to the number of
-rounds.
+:class:`repro.sim.network.Network` — the port-numbered view over a graph's
+flat CSR arrays, the simulator's one network representation.  Protocols
+are generator functions (see :mod:`repro.sim.actions`); the driver
+advances global time from one *active* round to the next, so algorithms
+whose round complexity is huge but whose awake complexity is small (the
+whole point of the paper) simulate in time proportional to the total
+number of awake node-rounds, not to the number of rounds.
 
 Round semantics (paper Section 1.3):
 
@@ -33,10 +34,9 @@ ever change wall-clock time, never bytes:
    so sweeps stay on this loop unless ``enforce_congest=False``.
 2. The **generator fast loop** (:meth:`Simulator._drive_fast`) runs
    whenever neither is requested (``trace=False`` and
-   ``message_bit_limit=None``).  It routes messages through flat
-   neighbour/arrival-port arrays precomputed from the
-   :class:`~repro.sim.network.Network` (straight out of the flat CSR
-   arrays for CSR-backed graphs), skips
+   ``message_bit_limit=None``).  Like the metered loop it routes
+   messages straight out of the network's flat
+   ``(offsets, neighbors, arrivals)`` CSR arrays, but it skips
    :func:`~repro.sim.message.estimate_bits` entirely (the aggregate
    ``max_message_bits`` then reads ``None`` — "not measured" — and
    per-node bit counters stay 0), and reuses one delivery buffer per node
@@ -46,11 +46,10 @@ ever change wall-clock time, never bytes:
    whose rounds are dense (every undecided node awake every iteration,
    Luby-style).  A protocol opts in by exposing a ``vectorized_engine``
    attribute on its factory (``luby`` does); the engine engages only
-   under the fast loop's gating (no trace, no bit limit) *and* when
-   numpy is importable, falling back to the generator fast loop
-   otherwise.  Priorities are drawn from the same per-node ``spawn_rng``
-   streams in the same per-node order, so the run is bit-for-bit
-   identical to the other engines (pinned by
+   under the fast loop's gating (no trace, no bit limit), falling back
+   to the generator fast loop otherwise.  Priorities are drawn from the
+   same per-node ``spawn_rng`` streams in the same per-node order, so the
+   run is bit-for-bit identical to the other engines (pinned by
    ``tests/test_runner_semantics.py``).  Pass ``vectorized=False`` to
    pin the generator loops, ``vectorized=True`` to require the engine
    (a configuration that cannot use it then raises).
@@ -162,9 +161,9 @@ class Simulator:
     vectorized:
         Engine selection for protocols that expose a ``vectorized_engine``
         hook: ``None`` (default) engages the numpy whole-round engine
-        whenever the fast-path gating holds (no trace, no bit limit) and
-        numpy is importable; ``False`` pins the generator loops; ``True``
-        requires the vectorized engine and raises
+        whenever the fast-path gating holds (no trace, no bit limit);
+        ``False`` pins the generator loops; ``True`` requires the
+        vectorized engine and raises
         :class:`~repro.errors.ConfigurationError` when it cannot run.
         Engine choice never changes outputs or counts.
     """
@@ -272,10 +271,10 @@ class Simulator:
 
         The engine engages only when the protocol opts in (a
         ``vectorized_engine`` hook on the factory), the fast-path gating
-        holds (no trace, no bit limit), numpy is importable, and the
-        caller did not pin ``vectorized=False``.  ``vectorized=True``
-        turns every reason *not* to engage into a
-        :class:`ConfigurationError` instead of a silent fallback.
+        holds (no trace, no bit limit), and the caller did not pin
+        ``vectorized=False``.  ``vectorized=True`` turns every reason *not*
+        to engage into a :class:`ConfigurationError` instead of a silent
+        fallback.
         """
         if self._vectorized is False:
             return None
@@ -287,11 +286,6 @@ class Simulator:
             blocker = "tracing is enabled"
         elif self._message_bit_limit is not None:
             blocker = "a message bit limit is set (CONGEST metering)"
-        else:
-            from repro.sim.vectorized import numpy_or_none
-
-            if numpy_or_none() is None:
-                blocker = "numpy is not installed"
         if blocker is None:
             return hook
         if self._vectorized is True:
@@ -326,7 +320,7 @@ class Simulator:
     ) -> None:
         """Round loop for the common configuration: no trace, no bit limit.
 
-        Messages are routed through flat port tables, sizes are never
+        Messages are routed through the flat CSR arrays, sizes are never
         estimated, and each node's delivery buffer is reused across rounds
         (cleared when the node next wakes).  Produces the same outputs and
         the same awake/round/message counts as :meth:`_drive_metered`; only
@@ -334,18 +328,10 @@ class Simulator:
         ``max_message_bits`` reads ``None`` via ``bits_metered=False``).
         """
         network = self._network
-        csr = getattr(network, "csr_tables", lambda: None)()
-        if csr is None:
-            neighbor_of = network.neighbor_tables()
-            arrival_port_of = network.arrival_port_tables()
-            offsets = flat_neighbors = flat_arrivals = None
-        else:
-            # CSR fast path: route straight out of the flat arrays — no
-            # per-node table objects at all, which also means a network
-            # over a shared-memory segment is simulated without copying
-            # any part of the adjacency into the process.
-            offsets, flat_neighbors, flat_arrivals = csr
-            neighbor_of = arrival_port_of = None
+        # Route straight out of the flat arrays — no per-node table objects
+        # at all, so a network over a shared-memory segment is simulated
+        # without copying any part of the adjacency into the process.
+        offsets, neighbors, arrivals = network.csr_tables()
         per_node = metrics.per_node
         max_awake = self._max_awake_per_node
         inboxes: List[List[Receive]] = [[] for _ in range(network.size)]
@@ -374,25 +360,14 @@ class Simulator:
                 sends = call.sends
                 if not sends:
                     continue
-                if offsets is not None:
-                    base = offsets[index]
-                    for port, payload in sends:
-                        node_metrics.messages_sent += 1
-                        receiver = flat_neighbors[base + port]
-                        if receiver in awake:
-                            inboxes[receiver].append(
-                                (flat_arrivals[base + port], payload))
-                            per_node[receiver].messages_received += 1
-                else:
-                    neighbors = neighbor_of[index]
-                    arrivals = arrival_port_of[index]
-                    for port, payload in sends:
-                        node_metrics.messages_sent += 1
-                        receiver = neighbors[port]
-                        if receiver in awake:
-                            inboxes[receiver].append(
-                                (arrivals[port], payload))
-                            per_node[receiver].messages_received += 1
+                base = offsets[index]
+                for port, payload in sends:
+                    node_metrics.messages_sent += 1
+                    receiver = neighbors[base + port]
+                    if receiver in awake:
+                        inboxes[receiver].append(
+                            (arrivals[base + port], payload))
+                        per_node[receiver].messages_received += 1
 
             metrics.last_active_round = current_round
 
@@ -424,8 +399,7 @@ class Simulator:
     ) -> None:
         """Round loop with CONGEST bit accounting and optional tracing."""
         network = self._network
-        neighbor_of = network.neighbor_tables()
-        arrival_port_of = network.arrival_port_tables()
+        offsets, neighbors, arrivals = network.csr_tables()
         bit_limit = self._message_bit_limit
 
         active_rounds = 0
@@ -449,8 +423,9 @@ class Simulator:
                 if node_metrics.awake_rounds > self._max_awake_per_node:
                     raise awake_budget_error(network.label_of(index),
                                              self._max_awake_per_node)
+                base = offsets[index]
                 for port, payload in call.sends:
-                    receiver = neighbor_of[index][port]
+                    receiver = neighbors[base + port]
                     bits = estimate_bits(payload)
                     if bit_limit is not None and bits > bit_limit:
                         raise MessageTooLargeError(
@@ -461,8 +436,8 @@ class Simulator:
                     node_metrics.record_send(bits)
                     delivered = receiver in awake
                     if delivered:
-                        arrival_port = arrival_port_of[index][port]
-                        deliveries[receiver].append((arrival_port, payload))
+                        deliveries[receiver].append(
+                            (arrivals[base + port], payload))
                         metrics.per_node[receiver].record_receive()
                     if trace is not None:
                         trace.record_message(
@@ -537,9 +512,9 @@ def run_protocol(
 ) -> RunResult:
     """Convenience wrapper: build the network and run *protocol* on *graph*.
 
-    CSR-backed graphs (``repro.graphs.csr.CSRGraphView``) get the
-    zero-copy ``CSRNetwork``; networkx graphs get the classic
-    ``Network`` — the simulated bytes are identical either way.
+    CSR-backed graphs (``repro.graphs.csr.CSRGraphView``) are wrapped
+    without copying; a networkx graph (simple, undirected,
+    integer-labelled) is converted to CSR arrays once.
     *vectorized* selects the whole-round numpy engine for protocols that
     opt in (see :class:`Simulator`); it can only change speed, never bytes.
     """

@@ -10,10 +10,10 @@ A protocol opts in by exposing a ``vectorized_engine`` attribute on its
 factory (see ``repro.algorithms.luby``): a callable receiving one
 :class:`VectorizedRun` — the CSR arrays as numpy views, the per-node RNG
 streams, per-node metric arrays, and the same safety valves the other two
-engines enforce.  The engine engages only when tracing is off, no bit limit
-is set, and numpy is importable (exactly the gating discipline of the
-generator fast path); everything else falls back, so results can never
-depend on whether numpy is installed.
+engines enforce.  The engine engages only when tracing is off and no bit
+limit is set (exactly the gating discipline of the generator fast path);
+everything else falls back to the generator loops, so results can never
+depend on which engine ran.
 
 Byte-identity contract (pinned by ``tests/test_runner_semantics.py`` and
 ``tests/test_vectorized.py``): outputs, awake/round/message counts,
@@ -29,31 +29,23 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.rng import SeedLike, spawn_rngs
 from repro.sim.metrics import NodeMetrics, RunMetrics
 
-try:  # gate, never require: the engine falls back when numpy is missing
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _numpy = None
-
 #: Sentinel for "never terminated" in the int64 terminated-round array.
 _NEVER = -(2**62)
-
-
-def numpy_or_none():
-    """Return the numpy module, or ``None`` when it is not installed."""
-    return _numpy
 
 
 class VectorizedRun:
     """Mutable state handed to a protocol's vectorized engine.
 
     Exposes the graph as flat int64 numpy arrays (zero-copy views over the
-    CSR buffers when the network is CSR-backed — including shared-memory
-    segments), one private RNG per node (spawned in index order, exactly
-    like the generator path), and the per-node metric arrays the engine
-    fills in.  Engines record rounds through :meth:`begin_round` /
+    network's CSR buffers — including shared-memory segments), one
+    private RNG per node (spawned in index order, exactly like the
+    generator path), and the per-node metric arrays the engine fills in.
+    Engines record rounds through :meth:`begin_round` /
     :meth:`record_awake` so the livelock and awake-budget safety valves
     fire with the same messages as the other two engines.
     """
@@ -67,15 +59,14 @@ class VectorizedRun:
         max_active_rounds: int,
         max_awake_per_node: int,
     ) -> None:
-        np = _numpy
-        if np is None:  # pragma: no cover - callers gate on numpy_or_none()
-            raise RuntimeError("the vectorized engine requires numpy")
         self.np = np
         self.network = network
         self.inputs = inputs
         self.local_inputs = local_inputs
         self.n = network.size
-        self.offsets, self.neighbors = _flat_adjacency(network, np)
+        # Zero-copy read-only views over the network's flat CSR buffers
+        # (shared-memory segments included).
+        self.offsets, self.neighbors, _, _ = network.graph.csr.as_arrays()
         self.degrees = self.offsets[1:] - self.offsets[:-1]
         #: Graph labels in simulator index order (bulk lookup once; engines
         #: fill outputs for thousands of nodes per round).
@@ -196,36 +187,3 @@ class VectorizedRun:
             awake_by_label=awake_by_label,
             trace=None,
         )
-
-
-def _flat_adjacency(network, np):
-    """Return ``(offsets, neighbors)`` int64 arrays for *network*.
-
-    CSR-backed networks hand out zero-copy ``np.frombuffer`` views over
-    their flat buffers (shared-memory segments included); adjacency-list
-    networks are flattened once.
-    """
-    tables = getattr(network, "csr_tables", lambda: None)()
-    if tables is not None:
-        offsets_words, neighbor_words, _ = tables
-        return (_int64_view(offsets_words, np), _int64_view(neighbor_words, np))
-    rows = network.neighbor_tables()
-    n = len(rows)
-    degrees = np.fromiter((len(row) for row in rows), dtype=np.int64, count=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    total = int(offsets[-1]) if n else 0
-    neighbors = np.fromiter(
-        (neighbor for row in rows for neighbor in row),
-        dtype=np.int64, count=total)
-    return offsets, neighbors
-
-
-def _int64_view(words, np):
-    """Zero-copy read-only int64 numpy view over a word buffer."""
-    view = memoryview(words)
-    if view.nbytes == 0:
-        return np.empty(0, dtype=np.int64)
-    array = np.frombuffer(view.cast("B"), dtype=np.int64)
-    array.flags.writeable = False
-    return array

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import socket
 import struct
+import subprocess
 import threading
 
 import networkx as nx
@@ -174,8 +175,10 @@ def spawn_socket_worker():
     worker announced its listening address; *extra_env* lets the
     crash-recovery suite arm fault-injection markers in the worker's
     environment, and *slots*/*max_connections* pass straight through to
-    ``repro-mis worker serve``.  Every spawned worker is killed at
-    session teardown.
+    ``repro-mis worker serve``.  Every spawned worker is stopped at
+    session teardown with SIGTERM, which takes the worker's orderly
+    shutdown path and unlinks its shared graph segments; SIGKILL is only
+    the fallback for a worker that does not exit in time.
     """
     from repro.experiments.worker import spawn_local_worker
 
@@ -192,8 +195,13 @@ def spawn_socket_worker():
     yield spawn
     for proc in spawned:
         if proc.poll() is None:
+            proc.terminate()
+    for proc in spawned:
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
             proc.kill()
-        proc.wait()
+            proc.wait()
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,10 @@
 """CSR graph representation tests (repro.graphs.csr, repro.sim.network).
 
-The shared-memory graph cache ships graphs between worker processes as
-flat CSR arrays, so everything downstream must be *byte-identical*
-between the adjacency-list representation (``Network`` over a networkx
-graph) and the CSR one (``CSRNetwork`` over ``CSRGraph`` arrays).  These
-tests pin that equivalence property for every registered graph family,
+The simulator's one network representation is :class:`Network` over flat
+CSR arrays, and the shared-memory graph cache ships graphs between worker
+processes in the same form.  These tests pin the port numbering against
+an oracle derived from the networkx graph for every registered family,
+byte-identity of ``run_mis`` between a networkx graph and its CSR view,
 the serialisation round-trip, and the shared-memory segment lifecycle
 (owned by the serving process, unlinked exactly once, orphans reaped).
 """
@@ -23,7 +23,7 @@ from repro.experiments.shm_cache import (SEGMENT_PREFIX, SharedGraphCache,
                                          reap_stale_segments)
 from repro.graphs import generators
 from repro.graphs.csr import MAGIC, CSRGraph, CSRGraphView
-from repro.sim.network import CSRNetwork, Network, build_network
+from repro.sim.network import Network, build_network
 
 
 @pytest.fixture(params=sorted(generators.FAMILIES))
@@ -38,63 +38,81 @@ def _records_sans_wall_time(result):
     return record
 
 
-# --------------------------------------------------------------------------- #
-# Network-view equivalence (the property the whole fast path rests on)
-# --------------------------------------------------------------------------- #
-class TestNetworkEquivalence:
-    def test_csr_network_matches_network_on_every_family(self, family_graph):
-        """Same labels, same ports, same tables — on every family."""
-        reference = Network(family_graph)
-        csr_net = CSRNetwork(generators.to_csr(family_graph))
+def _oracle_ports(graph):
+    """Port table by definition: port ``p`` of node ``i`` reaches the
+    ``p``-th smallest neighbour index, indices in ``graph.nodes`` order."""
+    index_of = {label: index for index, label in enumerate(graph.nodes)}
+    return [sorted(index_of[neighbor] for neighbor in graph.neighbors(label))
+            for label in graph.nodes]
 
-        assert csr_net.size == reference.size
-        assert csr_net.edge_count == reference.edge_count
-        assert csr_net.labels() == reference.labels()
-        assert csr_net.max_degree() == reference.max_degree()
-        for index in range(reference.size):
-            assert csr_net.degree(index) == reference.degree(index)
-            assert csr_net.label_of(index) == reference.label_of(index)
-            assert csr_net.index_of(reference.label_of(index)) == index
-        assert [list(row) for row in csr_net.neighbor_tables()] == \
-               [list(row) for row in reference.neighbor_tables()]
-        assert [list(row) for row in csr_net.arrival_port_tables()] == \
-               [list(row) for row in reference.arrival_port_tables()]
 
-    def test_port_routing_agrees_everywhere(self, family_graph):
-        reference = Network(family_graph)
-        csr_net = CSRNetwork(generators.to_csr(family_graph))
-        for index in range(reference.size):
-            for port in range(reference.degree(index)):
-                neighbor = reference.neighbor_via_port(index, port)
-                assert csr_net.neighbor_via_port(index, port) == neighbor
-                assert csr_net.port_towards(index, neighbor) == \
-                       reference.port_towards(index, neighbor)
+def _networks(graph):
+    """The network of *graph* built from each accepted input type."""
+    csr = generators.to_csr(graph)
+    return {"networkx": build_network(graph), "csr": build_network(csr),
+            "view": build_network(csr.view())}
+
+
+# --------------------------------------------------------------------------- #
+# Port numbering (the property every engine's routing rests on)
+# --------------------------------------------------------------------------- #
+class TestPortNumbering:
+    def test_ports_match_oracle_on_every_family(self, family_graph):
+        """Same labels, same ports, same flat arrays — on every family."""
+        oracle = _oracle_ports(family_graph)
+        labels = list(family_graph.nodes)
+        for source, network in _networks(family_graph).items():
+            assert network.size == len(labels), source
+            assert network.edge_count == family_graph.number_of_edges()
+            assert network.labels() == labels, source
+            assert network.max_degree() == max(map(len, oracle), default=0)
+            for index, row in enumerate(oracle):
+                assert network.label_of(index) == labels[index]
+                assert network.index_of(labels[index]) == index
+                assert network.degree(index) == len(row)
+                assert [network.neighbor_via_port(index, port)
+                        for port in range(len(row))] == row, source
+                for port, neighbor in enumerate(row):
+                    assert network.port_towards(index, neighbor) == port
+            offsets, neighbors, _ = network.csr_tables()
+            assert list(neighbors) == [v for row in oracle for v in row]
+            assert [offsets[i + 1] - offsets[i]
+                    for i in range(len(oracle))] == list(map(len, oracle))
+
+    def test_arrival_ports_route_back_on_every_family(self, family_graph):
+        """The message ``u`` sends on port ``p`` arrives at ``v`` on the
+        port that leads from ``v`` back to ``u``."""
+        for source, network in _networks(family_graph).items():
+            offsets, neighbors, arrivals = network.csr_tables()
+            for u in range(network.size):
+                for port in range(network.degree(u)):
+                    v = neighbors[offsets[u] + port]
+                    assert network.neighbor_via_port(
+                        v, arrivals[offsets[u] + port]) == u, source
 
     def test_out_of_range_port_rejected(self):
-        csr_net = CSRNetwork(generators.to_csr(generators.path_graph(4)))
+        network = build_network(generators.path_graph(4))
         with pytest.raises(ConfigurationError, match="ports"):
-            csr_net.neighbor_via_port(0, 5)
+            network.neighbor_via_port(0, 5)
 
     def test_non_adjacent_port_towards_rejected(self):
-        csr_net = CSRNetwork(generators.to_csr(generators.path_graph(4)))
+        network = build_network(generators.path_graph(4))
         with pytest.raises(ConfigurationError, match="not adjacent"):
-            csr_net.port_towards(0, 3)
+            network.port_towards(0, 3)
 
-    def test_csr_tables_present_only_on_csr_network(self):
+    def test_csr_tables_always_present(self):
         graph = generators.gnp_graph(24, p=0.2, seed=5)
-        assert Network(graph).csr_tables() is None
-        offsets, neighbors, arrivals = \
-            CSRNetwork(generators.to_csr(graph)).csr_tables()
-        assert len(offsets) == graph.number_of_nodes() + 1
-        assert len(neighbors) == len(arrivals) == \
-               2 * graph.number_of_edges()
+        for source, network in _networks(graph).items():
+            offsets, neighbors, arrivals = network.csr_tables()
+            assert len(offsets) == graph.number_of_nodes() + 1, source
+            assert len(neighbors) == len(arrivals) == \
+                   2 * graph.number_of_edges()
 
-    def test_build_network_dispatches_on_type(self):
+    def test_build_network_returns_network_for_every_input(self):
         graph = generators.cycle_graph(8)
-        assert isinstance(build_network(graph), Network)
-        csr = generators.to_csr(graph)
-        assert isinstance(build_network(csr), CSRNetwork)
-        assert isinstance(build_network(csr.view()), CSRNetwork)
+        for source, network in _networks(graph).items():
+            assert type(network) is Network, source
+            assert isinstance(network.graph, CSRGraphView), source
 
 
 # --------------------------------------------------------------------------- #

@@ -16,7 +16,8 @@ from repro.ldt.construct import (
     merge_phases,
 )
 from repro.rng import random_unique_ids
-from repro.sim import Network, run_protocol
+from repro.sim import run_protocol
+from repro.sim.network import build_network
 
 
 def run_construction(graph: nx.Graph, n_bound: Optional[int] = None, seed: int = 1,
@@ -48,7 +49,7 @@ def run_construction(graph: nx.Graph, n_bound: Optional[int] = None, seed: int =
 def check_ldt_validity(graph: nx.Graph, outputs: Dict, ids: Dict) -> None:
     """Assert that the per-node LDT states form one valid rooted spanning
     tree per connected component of *graph*."""
-    network = Network(graph)
+    network = build_network(graph)
     for component in nx.connected_components(graph):
         component = set(component)
         states = {label: outputs[label].ldt for label in component}

@@ -20,12 +20,13 @@ from repro.ldt.procedures import (
     upcast_min,
 )
 from repro.ldt.structure import LDTState
-from repro.sim import Network, run_protocol
+from repro.sim import run_protocol
+from repro.sim.network import build_network
 
 
 def build_ldt_states(tree: nx.Graph, root) -> Dict[object, LDTState]:
     """Compute the LDTState of every node of *tree* rooted at *root*."""
-    network = Network(tree)
+    network = build_network(tree)
     states: Dict[object, LDTState] = {}
     parents = nx.bfs_predecessors(tree, root)
     parent_of = dict(parents)

@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.graphs import generators
 from repro.sim import Network, WakeCall, broadcast_sends, estimate_bits, run_protocol
+from repro.sim.network import build_network
 from repro.sim.runner import Simulator
 
 
@@ -21,7 +22,7 @@ from repro.sim.runner import Simulator
 # --------------------------------------------------------------------------- #
 class TestNetwork:
     def test_ports_cover_neighbors(self, small_gnp):
-        network = Network(small_gnp)
+        network = build_network(small_gnp)
         for index in range(network.size):
             degree = network.degree(index)
             neighbors = {network.neighbor_via_port(index, p) for p in range(degree)}
@@ -32,34 +33,38 @@ class TestNetwork:
             assert neighbors == expected
 
     def test_port_round_trip(self, small_gnp):
-        network = Network(small_gnp)
+        network = build_network(small_gnp)
         for u, v in small_gnp.edges:
             ui, vi = network.index_of(u), network.index_of(v)
             port = network.port_towards(ui, vi)
             assert network.neighbor_via_port(ui, port) == vi
 
     def test_invalid_port_rejected(self, path_graph):
-        network = Network(path_graph)
+        network = build_network(path_graph)
         with pytest.raises(ConfigurationError):
             network.neighbor_via_port(0, 5)
 
     def test_non_adjacent_port_lookup_rejected(self, path_graph):
-        network = Network(path_graph)
+        network = build_network(path_graph)
         with pytest.raises(ConfigurationError):
             network.port_towards(0, 5)
 
     def test_directed_graph_rejected(self):
         with pytest.raises(ConfigurationError):
-            Network(nx.DiGraph([(0, 1)]))
+            build_network(nx.DiGraph([(0, 1)]))
 
     def test_self_loop_rejected(self):
         graph = nx.Graph()
         graph.add_edge(0, 0)
         with pytest.raises(ConfigurationError):
-            Network(graph)
+            build_network(graph)
+
+    def test_non_csr_graph_rejected_by_constructor(self, path_graph):
+        with pytest.raises(ConfigurationError, match="build_network"):
+            Network(path_graph)
 
     def test_max_degree(self, star):
-        assert Network(star).max_degree() == star.number_of_nodes() - 1
+        assert build_network(star).max_degree() == star.number_of_nodes() - 1
 
 
 # --------------------------------------------------------------------------- #
@@ -163,15 +168,19 @@ class TestRoundSemantics:
         assert result.metrics.round_complexity == 0
 
     def test_outputs_keyed_by_graph_labels(self):
-        graph = nx.relabel_nodes(generators.path_graph(3), {0: "a", 1: "b", 2: "c"})
+        graph = nx.relabel_nodes(generators.path_graph(3), {0: 10, 1: 7, 2: 42})
 
         def protocol(ctx):
             yield WakeCall(round=0, sends=[])
             return ctx.degree
 
         result = run_protocol(graph, protocol, seed=1)
-        assert set(result.outputs) == {"a", "b", "c"}
-        assert result.outputs["b"] == 2
+        assert set(result.outputs) == {10, 7, 42}
+        assert result.outputs[7] == 2
+
+        named = nx.relabel_nodes(graph, {10: "a", 7: "b", 42: "c"})
+        with pytest.raises(ConfigurationError, match="integer node labels"):
+            run_protocol(named, protocol, seed=1)
 
 
 # --------------------------------------------------------------------------- #
@@ -222,7 +231,7 @@ class TestEnforcement:
                 yield WakeCall(round=r, sends=[])
                 r += 1
 
-        network = Network(graph)
+        network = build_network(graph)
         simulator = Simulator(network, seed=1, max_active_rounds=50)
         with pytest.raises(SimulationError):
             simulator.run(protocol)
