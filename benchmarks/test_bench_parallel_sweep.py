@@ -17,6 +17,7 @@ also written to the machine-readable perf-trajectory file when
 from __future__ import annotations
 
 import os
+import subprocess
 import time
 
 from repro.experiments.executor import plan_sweep_tasks
@@ -32,6 +33,20 @@ GRID_BY_SCALE = {
     "full": dict(algorithms=["luby", "vt_mis"], sizes=[64, 128, 256, 512],
                  families=("gnp",), repetitions=3, seed=21),
 }
+
+
+def _stop_worker(proc):
+    """Stop a socket worker with SIGTERM; SIGKILL only if it hangs.
+
+    SIGTERM takes the worker's orderly shutdown path, which unlinks its
+    shared graph segments; a SIGKILLed worker leaves them behind.
+    """
+    proc.terminate()
+    try:
+        proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
 
 
 def test_bench_parallel_sweep_equivalence_and_speedup(benchmark, repro_scale,
@@ -173,7 +188,7 @@ def test_bench_backend_matrix(repro_scale, bench_record):
                 telemetry[label] = workers_block
 
         # Round-engine rows: the same luby tasks unmetered (CONGEST off),
-        # once pinned to the generator fast loop and once on the numpy
+        # once pinned to the generator round loop and once on the numpy
         # vectorized engine.  Unmetered rows record max_message_bits=None
         # where the metered reference records a measurement, so the two
         # engine sweeps are byte-compared against *each other*, not
@@ -205,8 +220,7 @@ def test_bench_backend_matrix(repro_scale, bench_record):
         assert engine_sweeps["vectorized"].all_verified
     finally:
         for proc, _ in list(workers) + list(slot_workers.values()):
-            proc.kill()
-            proc.wait()
+            _stop_worker(proc)
 
     print()
     print(format_table(rows, title=f"scheduler x transport matrix "
@@ -260,8 +274,7 @@ def test_bench_windowed_socket(bench_record):
         (windowed_seconds, windowed, peak_window,
          windowed_telemetry) = timed(window="adaptive", max_batch=8)
     finally:
-        proc.kill()
-        proc.wait()
+        _stop_worker(proc)
 
     assert repr(stop_and_wait.rows()) == repr(serial.rows())
     assert repr(windowed.rows()) == repr(serial.rows())

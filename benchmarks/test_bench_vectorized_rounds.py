@@ -1,8 +1,8 @@
-"""Benchmark: the numpy whole-round engine vs the generator fast loop.
+"""Benchmark: the numpy whole-round engine vs the generator round loop.
 
 Unmetered Luby on a gnp graph at n ≥ 20k — the workload the vectorized
 engine targets: every undecided node is awake in every iteration, so the
-generator fast loop resumes tens of thousands of generators per round
+generator round loop resumes tens of thousands of generators per round
 while the vectorized engine computes the same rounds as a handful of
 array operations over the CSR arrays.
 
@@ -100,7 +100,7 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
     speedup = min(generator_times) / max(min(vectorized_times), 1e-9)
 
     rows = [
-        {"engine": f"generator fast loop (x{generator_runs})",
+        {"engine": f"generator round loop (x{generator_runs})",
          "best_s": round(min(generator_times), 3),
          "tasks_per_s": round(generator_rate, 2)},
         {"engine": f"vectorized (x{vectorized_runs})",
@@ -127,6 +127,6 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
         speedup=round(speedup, 3),
     )
     assert speedup >= SPEEDUP_FLOOR, (
-        f"vectorized engine only {speedup:.2f}x the generator fast loop "
+        f"vectorized engine only {speedup:.2f}x the generator round loop "
         f"on unmetered luby over gnp n={n} (floor {SPEEDUP_FLOOR}x); "
         "whole-round vectorization is not engaging or has regressed")

@@ -53,23 +53,26 @@ def main() -> int:
     ]
     print(format_table(rows, title="Figure 2: communication sets"))
 
-    # Now watch the property in action: two adjacent nodes with IDs 3 and 5.
-    graph = nx.Graph([("u", "v")])
-    local_inputs = {"u": {"id": 3}, "v": {"id": 5}}
+    # Now watch the property in action: two adjacent nodes u = 0 and v = 1
+    # (the simulator takes integer labels) with IDs 3 and 5.
+    u, v = 0, 1
+    graph = nx.Graph([(u, v)])
+    local_inputs = {u: {"id": 3}, v: {"id": 5}}
     result = run_protocol(graph, vt_mis_protocol, inputs={"id_bound": 6},
                           local_inputs=local_inputs, seed=1, trace=True)
     mis = mis_from_result(result)
+    names = {u: "u", v: "v"}
     print()
     print("VT-MIS on the edge (u, v) with IDs 3 and 5:")
-    print("  u awake in rounds:", [r + 1 for r in result.trace.awake_rounds_of("u")])
-    print("  v awake in rounds:", [r + 1 for r in result.trace.awake_rounds_of("v")])
+    print("  u awake in rounds:", [r + 1 for r in result.trace.awake_rounds_of(u)])
+    print("  v awake in rounds:", [r + 1 for r in result.trace.awake_rounds_of(v)])
     print("  common awake round:", common_round(3, 5, 6))
-    print("  MIS:", sorted(mis), "(u joined at its round 3; v heard about it "
-          "in round 5 and stayed out)")
-    assert mis == {"u"}
-    assert 5 - 1 in result.trace.awake_rounds_of("v")
+    print("  MIS:", sorted(names[node] for node in mis),
+          "(u joined at its round 3; v heard about it in round 5 and stayed out)")
+    assert mis == {u}
+    assert 5 - 1 in result.trace.awake_rounds_of(v)
     # Round-trip check against the library's communication sets.
-    assert set(r + 1 for r in result.trace.awake_rounds_of("u")) == \
+    assert set(r + 1 for r in result.trace.awake_rounds_of(u)) == \
         set(communication_set(3, 6))
     return 0
 

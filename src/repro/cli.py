@@ -180,12 +180,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser(
         "run", help="run one algorithm on one graph",
         epilog="Engines: runs enforce CONGEST metering by default (the "
-               "simulator's metered loop).  Programmatic callers that pass "
-               "enforce_congest=False get the generator fast loop, and — "
-               "for algorithms with a vectorized twin (luby) — the numpy "
-               "whole-round engine over the CSR arrays.  Engine choice "
-               "never changes outputs or awake/round/message counts, only "
-               "wall-clock time.")
+               "simulator's generator round loop estimates every "
+               "message's size).  Programmatic callers that pass "
+               "enforce_congest=False skip the size estimates and — for "
+               "algorithms with a vectorized twin (luby) — get the numpy "
+               "whole-round engine over the CSR arrays.  Metering and "
+               "engine choice never change outputs or awake/round/message "
+               "counts, only wall-clock time.")
     run_parser.add_argument("--algorithm", default="awake_mis",
                             choices=available_algorithms())
     run_parser.add_argument("--family", default="gnp",
@@ -197,12 +198,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="scaling sweep",
         epilog=_STORE_EPILOG
                + "  Engines: sweep tasks meter CONGEST bits by default, which "
-                 "keeps them on the simulator's metered loop.  Unmetered "
-                 "runs (algorithm_params with enforce_congest=False via the "
-                 "Python API) use the generator fast loop, or the numpy "
-                 "whole-round engine for algorithms that opt in (luby); "
-                 "engine choice never changes recorded rows, only "
-                 "wall-clock time.")
+                 "keeps them on the simulator's generator round loop.  "
+                 "Unmetered runs (algorithm_params with enforce_congest=False "
+                 "via the Python API) skip the size estimates, and use the "
+                 "numpy whole-round engine for algorithms that opt in "
+                 "(luby); metering and engine choice never change recorded "
+                 "rows, only wall-clock time.")
     sweep_parser.add_argument("--algorithms", nargs="+",
                               default=["awake_mis", "luby"],
                               choices=available_algorithms())

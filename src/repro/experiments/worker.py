@@ -700,7 +700,9 @@ def spawn_local_worker(extra_env: Optional[Dict[str, str]] = None,
     .transports.SocketTransport` — append ``*K`` to the address to dial
     all K slots of a multi-slot worker.  A drain thread keeps the
     worker's stderr from ever filling its pipe.  The caller owns the
-    process (kill + wait when done).
+    process: stop it with ``terminate()`` (SIGTERM takes the orderly
+    shutdown path, which unlinks its shared graph segments), then
+    ``wait(timeout=10)``, and ``kill()`` only if that times out.
     """
     import re
     import subprocess

@@ -23,36 +23,33 @@ Round semantics (paper Section 1.3):
 Engines
 -------
 
-The driver has three interchangeable round engines; all of them produce
-identical outputs and awake/round/message counts, so an engine can only
-ever change wall-clock time, never bytes:
+The driver has two interchangeable round engines; both produce identical
+outputs and awake/round/message counts, so an engine can only ever change
+wall-clock time, never bytes:
 
-1. The **metered loop** (:meth:`Simulator._drive_metered`) handles tracing
-   and CONGEST bit accounting.  It runs whenever ``trace=True`` or a
-   ``message_bit_limit`` is set — note that
-   :func:`repro.experiments.harness.run_mis` enforces CONGEST by default,
-   so sweeps stay on this loop unless ``enforce_congest=False``.
-2. The **generator fast loop** (:meth:`Simulator._drive_fast`) runs
-   whenever neither is requested (``trace=False`` and
-   ``message_bit_limit=None``).  Like the metered loop it routes
-   messages straight out of the network's flat
-   ``(offsets, neighbors, arrivals)`` CSR arrays, but it skips
-   :func:`~repro.sim.message.estimate_bits` entirely (the aggregate
-   ``max_message_bits`` then reads ``None`` — "not measured" — and
-   per-node bit counters stay 0), and reuses one delivery buffer per node
-   across rounds.
-3. The **vectorized engine** (:mod:`repro.sim.vectorized`) computes whole
+1. The **generator round loop** (:meth:`Simulator._drive`) resumes one
+   protocol generator per awake node per round and routes messages
+   straight out of the network's flat ``(offsets, neighbors, arrivals)``
+   CSR arrays, reusing one delivery buffer per node across rounds.  A run
+   is *metered* when ``trace=True`` or a ``message_bit_limit`` is set —
+   note that :func:`repro.experiments.harness.run_mis` enforces CONGEST
+   by default.  Metering is one per-sender step inside the loop
+   (:meth:`Simulator._meter`): it estimates each message's size with
+   :func:`~repro.sim.message.estimate_bits`, enforces the bit limit,
+   updates the sender's bit counters and records trace events.  An
+   unmetered run skips the step (the aggregate ``max_message_bits`` then
+   reads ``None`` — "not measured" — and per-node bit counters stay 0).
+2. The **vectorized engine** (:mod:`repro.sim.vectorized`) computes whole
    rounds as numpy array operations over the CSR arrays, for protocols
    whose rounds are dense (every undecided node awake every iteration,
    Luby-style).  A protocol opts in by exposing a ``vectorized_engine``
-   attribute on its factory (``luby`` does); the engine engages only
-   under the fast loop's gating (no trace, no bit limit), falling back
-   to the generator fast loop otherwise.  Priorities are drawn from the
-   same per-node ``spawn_rng`` streams in the same per-node order, so the
-   run is bit-for-bit identical to the other engines (pinned by
-   ``tests/test_runner_semantics.py``).  Pass ``vectorized=False`` to
-   pin the generator loops, ``vectorized=True`` to require the engine
-   (a configuration that cannot use it then raises).
+   attribute on its factory (``luby`` does); the engine engages only on
+   unmetered runs, falling back to the generator loop otherwise.
+   Priorities are drawn from the same per-node ``spawn_rng`` streams in
+   the same per-node order, so the run is bit-for-bit identical to the
+   generator loop (pinned by ``tests/test_runner_semantics.py``).  Pass
+   ``vectorized=False`` to pin the generator loop, ``vectorized=True`` to
+   require the engine (a configuration that cannot use it then raises).
 
 Buffer-reuse contract: the inbox list a generator is resumed with is only
 valid until the node's next ``yield``; protocols must consume (or copy) it
@@ -86,7 +83,7 @@ ProtocolFactory = Callable[[NodeContext], Generator[WakeCall, List[Receive], Any
 
 
 # --------------------------------------------------------------------------- #
-# Safety-valve / coverage errors shared by all three round engines.  A
+# Safety-valve / coverage errors shared by both round engines.  A
 # divergent message would break golden-log diffs across engines, so every
 # engine raises through these helpers.
 # --------------------------------------------------------------------------- #
@@ -134,6 +131,26 @@ class RunResult:
         return {label for label, value in self.outputs.items() if predicate(value)}
 
 
+def assemble_result(
+    labels: List[Any],
+    outputs: Dict[Any, Any],
+    metrics: RunMetrics,
+    trace: Optional[Trace] = None,
+) -> RunResult:
+    """Package a finished run of either engine as a :class:`RunResult`.
+
+    *labels* are the graph labels in simulator index order.  Raises
+    :func:`missing_outputs_error` when some node never produced an output.
+    """
+    missing = [label for label in labels if label not in outputs]
+    if missing:
+        raise missing_outputs_error(missing)
+    awake_by_label = dict(zip(labels, [node.awake_rounds
+                                       for node in metrics.per_node]))
+    return RunResult(outputs=outputs, metrics=metrics,
+                     awake_by_label=awake_by_label, trace=trace)
+
+
 class Simulator:
     """Drives a set of per-node protocol generators over a network.
 
@@ -148,8 +165,8 @@ class Simulator:
         If not ``None``, sending a message whose estimated size exceeds this
         many bits raises :class:`MessageTooLargeError`.  The experiment
         harness sets it to a multiple of ``log2(N)`` to enforce CONGEST.
-        When ``None`` (and tracing is off) the driver takes the fast path
-        and does not estimate message sizes at all.
+        When ``None`` (and tracing is off) the run is unmetered: message
+        sizes are not estimated at all.
     max_active_rounds:
         Safety valve: abort (with :class:`SimulationError`) if more than this
         many *active* rounds elapse, which indicates a livelocked protocol.
@@ -161,8 +178,8 @@ class Simulator:
     vectorized:
         Engine selection for protocols that expose a ``vectorized_engine``
         hook: ``None`` (default) engages the numpy whole-round engine
-        whenever the fast-path gating holds (no trace, no bit limit);
-        ``False`` pins the generator loops; ``True`` requires the
+        whenever the run is unmetered (no trace, no bit limit);
+        ``False`` pins the generator loop; ``True`` requires the
         vectorized engine and raises
         :class:`~repro.errors.ConfigurationError` when it cannot run.
         Engine choice never changes outputs or counts.
@@ -210,8 +227,11 @@ class Simulator:
 
         generators: List[Optional[Generator[WakeCall, List[Receive], Any]]] = []
         outputs: Dict[Any, Any] = {}
-        metrics = RunMetrics(per_node=[NodeMetrics() for _ in range(n)])
         trace = Trace() if self._trace_enabled else None
+        metrics = RunMetrics(
+            per_node=[NodeMetrics() for _ in range(n)],
+            bits_metered=trace is not None or self._message_bit_limit is not None,
+        )
 
         # (round, node_index, WakeCall) heap of pending wake-ups.
         pending: List[tuple] = []
@@ -238,40 +258,16 @@ class Simulator:
             self._validate_call(first_call, index, previous_round=-1)
             heapq.heappush(pending, (first_call.round, index, first_call))
 
-        if trace is None and self._message_bit_limit is None:
-            metrics.bits_metered = False
-            self._drive_fast(pending, generators, outputs, metrics)
-        else:
-            self._drive_metered(pending, generators, outputs, metrics, trace)
-
-        # Nodes that never terminated explicitly (generator exhausted without
-        # return) have output None already; nodes still pending cannot exist
-        # here because the loop drains the heap.
-        awake_by_label = {
-            network.label_of(index): metrics.per_node[index].awake_rounds
-            for index in range(n)
-        }
-        missing = [
-            network.label_of(index)
-            for index in range(n)
-            if network.label_of(index) not in outputs
-        ]
-        if missing:
-            raise missing_outputs_error(missing)
-        return RunResult(
-            outputs=outputs,
-            metrics=metrics,
-            awake_by_label=awake_by_label,
-            trace=trace,
-        )
+        self._drive(pending, generators, outputs, metrics, trace)
+        return assemble_result(network.labels(), outputs, metrics, trace)
 
     # ------------------------------------------------------------------ #
     def _select_vectorized_engine(self, protocol: ProtocolFactory):
         """Return the protocol's vectorized engine when it should engage.
 
         The engine engages only when the protocol opts in (a
-        ``vectorized_engine`` hook on the factory), the fast-path gating
-        holds (no trace, no bit limit), and the caller did not pin
+        ``vectorized_engine`` hook on the factory), the run is unmetered
+        (no trace, no bit limit), and the caller did not pin
         ``vectorized=False``.  ``vectorized=True`` turns every reason *not*
         to engage into a :class:`ConfigurationError` instead of a silent
         fallback.
@@ -311,21 +307,20 @@ class Simulator:
         return state.to_result()
 
     # ------------------------------------------------------------------ #
-    def _drive_fast(
+    def _drive(
         self,
         pending: List[tuple],
         generators: List[Optional[Generator[WakeCall, List[Receive], Any]]],
         outputs: Dict[Any, Any],
         metrics: RunMetrics,
+        trace: Optional[Trace],
     ) -> None:
-        """Round loop for the common configuration: no trace, no bit limit.
+        """The generator round loop: pop, transmit, resume, until idle.
 
-        Messages are routed through the flat CSR arrays, sizes are never
-        estimated, and each node's delivery buffer is reused across rounds
-        (cleared when the node next wakes).  Produces the same outputs and
-        the same awake/round/message counts as :meth:`_drive_metered`; only
-        the bit statistics differ (per-node counters stay 0, the aggregate
-        ``max_message_bits`` reads ``None`` via ``bits_metered=False``).
+        Messages are routed through the flat CSR arrays and each node's
+        delivery buffer is reused across rounds (cleared when the node next
+        wakes).  When ``metrics.bits_metered`` is set every sender's
+        messages also pass through :meth:`_meter` before delivery.
         """
         network = self._network
         # Route straight out of the flat arrays — no per-node table objects
@@ -334,6 +329,7 @@ class Simulator:
         offsets, neighbors, arrivals = network.csr_tables()
         per_node = metrics.per_node
         max_awake = self._max_awake_per_node
+        metered = metrics.bits_metered
         inboxes: List[List[Receive]] = [[] for _ in range(network.size)]
 
         active_rounds = 0
@@ -350,6 +346,9 @@ class Simulator:
                 _, index, call = heapq.heappop(pending)
                 awake[index] = call
                 inboxes[index].clear()
+            if trace is not None:
+                trace.record_awake(current_round,
+                                   [network.label_of(index) for index in awake])
 
             for index, call in awake.items():
                 node_metrics = per_node[index]
@@ -360,6 +359,9 @@ class Simulator:
                 sends = call.sends
                 if not sends:
                     continue
+                if metered:
+                    self._meter(index, node_metrics, sends, current_round,
+                                awake, trace)
                 base = offsets[index]
                 for port, payload in sends:
                     node_metrics.messages_sent += 1
@@ -371,9 +373,8 @@ class Simulator:
 
             metrics.last_active_round = current_round
 
-            # Resume every awake node with its inbox.  Heap pops already
-            # produced increasing indices, so the dict iterates in the same
-            # node order the metered loop uses.
+            # Resume every awake node with its inbox, in heap-pop (ascending
+            # index) order.
             for index in awake:
                 gen = generators[index]
                 assert gen is not None
@@ -388,92 +389,40 @@ class Simulator:
                 heapq.heappush(pending, (next_call.round, index, next_call))
         metrics.active_rounds = active_rounds
 
-    # ------------------------------------------------------------------ #
-    def _drive_metered(
+    def _meter(
         self,
-        pending: List[tuple],
-        generators: List[Optional[Generator[WakeCall, List[Receive], Any]]],
-        outputs: Dict[Any, Any],
-        metrics: RunMetrics,
+        index: int,
+        node_metrics: NodeMetrics,
+        sends: List[tuple],
+        current_round: int,
+        awake: Dict[int, WakeCall],
         trace: Optional[Trace],
     ) -> None:
-        """Round loop with CONGEST bit accounting and optional tracing."""
+        """CONGEST bit accounting (and tracing) for one sender's messages."""
         network = self._network
-        offsets, neighbors, arrivals = network.csr_tables()
         bit_limit = self._message_bit_limit
-
-        active_rounds = 0
-        while pending:
-            current_round = pending[0][0]
-            active_rounds += 1
-            if active_rounds > self._max_active_rounds:
-                raise livelocked_error(self._max_active_rounds)
-
-            # Pop every node awake in this round.
-            awake: Dict[int, WakeCall] = {}
-            while pending and pending[0][0] == current_round:
-                _, index, call = heapq.heappop(pending)
-                awake[index] = call
-
-            # Transmit: deliveries[index] collects (arrival_port, payload).
-            deliveries: Dict[int, List[Receive]] = {index: [] for index in awake}
-            for index, call in awake.items():
-                node_metrics = metrics.per_node[index]
-                node_metrics.record_awake()
-                if node_metrics.awake_rounds > self._max_awake_per_node:
-                    raise awake_budget_error(network.label_of(index),
-                                             self._max_awake_per_node)
-                base = offsets[index]
-                for port, payload in call.sends:
-                    receiver = neighbors[base + port]
-                    bits = estimate_bits(payload)
-                    if bit_limit is not None and bits > bit_limit:
-                        raise MessageTooLargeError(
-                            f"node {network.label_of(index)} sent a {bits}-bit "
-                            f"message (limit {bit_limit}) in round "
-                            f"{current_round}: {payload!r}"
-                        )
-                    node_metrics.record_send(bits)
-                    delivered = receiver in awake
-                    if delivered:
-                        deliveries[receiver].append(
-                            (arrivals[base + port], payload))
-                        metrics.per_node[receiver].record_receive()
-                    if trace is not None:
-                        trace.record_message(
-                            MessageEvent(
-                                round=current_round,
-                                sender=network.label_of(index),
-                                receiver=network.label_of(receiver),
-                                payload=payload,
-                                delivered=delivered,
-                            )
-                        )
-
-            if trace is not None:
-                trace.record_awake(
-                    current_round,
-                    [network.label_of(index) for index in awake],
+        for port, payload in sends:
+            bits = estimate_bits(payload)
+            if bit_limit is not None and bits > bit_limit:
+                raise MessageTooLargeError(
+                    f"node {network.label_of(index)} sent a {bits}-bit "
+                    f"message (limit {bit_limit}) in round "
+                    f"{current_round}: {payload!r}"
                 )
-
-            metrics.last_active_round = current_round
-            metrics.active_rounds = active_rounds
-
-            # Resume every awake node with its inbox.
-            for index in sorted(awake):
-                gen = generators[index]
-                assert gen is not None
-                inbox = deliveries[index]
-                try:
-                    next_call = gen.send(inbox)
-                except StopIteration as stop:
-                    label = network.label_of(index)
-                    outputs[label] = stop.value
-                    metrics.per_node[index].terminated_round = current_round
-                    generators[index] = None
-                    continue
-                self._validate_call(next_call, index, previous_round=current_round)
-                heapq.heappush(pending, (next_call.round, index, next_call))
+            node_metrics.bits_sent += bits
+            if bits > node_metrics.max_message_bits:
+                node_metrics.max_message_bits = bits
+            if trace is not None:
+                receiver = network.neighbor_via_port(index, port)
+                trace.record_message(
+                    MessageEvent(
+                        round=current_round,
+                        sender=network.label_of(index),
+                        receiver=network.label_of(receiver),
+                        payload=payload,
+                        delivered=receiver in awake,
+                    )
+                )
 
     # ------------------------------------------------------------------ #
     def _validate_call(

@@ -1,7 +1,7 @@
 """Numpy-vectorized whole-round engine for dense, everyone-awake phases.
 
-The third simulator engine (after the metered loop and the generator fast
-loop of :mod:`repro.sim.runner`): protocols whose rounds are *dense* —
+The simulator's second engine, next to the generator round loop of
+:mod:`repro.sim.runner`: protocols whose rounds are *dense* —
 every undecided node awake every iteration, Luby-style — can compute whole
 rounds as array operations over the flat CSR adjacency instead of resuming
 one generator per node per round.
@@ -9,20 +9,20 @@ one generator per node per round.
 A protocol opts in by exposing a ``vectorized_engine`` attribute on its
 factory (see ``repro.algorithms.luby``): a callable receiving one
 :class:`VectorizedRun` — the CSR arrays as numpy views, the per-node RNG
-streams, per-node metric arrays, and the same safety valves the other two
-engines enforce.  The engine engages only when tracing is off and no bit
-limit is set (exactly the gating discipline of the generator fast path);
-everything else falls back to the generator loops, so results can never
-depend on which engine ran.
+streams, per-node metric arrays, and the same safety valves the generator
+loop enforces.  The engine engages only on unmetered runs (tracing off, no
+bit limit); everything else falls back to the generator loop, so results
+can never depend on which engine ran.
 
 Byte-identity contract (pinned by ``tests/test_runner_semantics.py`` and
 ``tests/test_vectorized.py``): outputs, awake/round/message counts,
 ``awake_by_label``, termination rounds and error messages are identical to
-both other engines.  In particular engines must draw from the *same*
-per-node ``spawn_rng`` streams the generator path would — the streams are
-spawned here in index order, exactly like ``Simulator.run`` does — and
+the generator loop's, metered or not.  In particular engines must draw from
+the *same* per-node ``spawn_rng`` streams the generator loop would — the
+streams are spawned here in index order, exactly like ``Simulator.run``
+does — and
 consume the same number of draws per node, so a run is bit-for-bit
-reproducible across all three engines.
+reproducible across both engines.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class VectorizedRun:
     generator path), and the per-node metric arrays the engine fills in.
     Engines record rounds through :meth:`begin_round` /
     :meth:`record_awake` so the livelock and awake-budget safety valves
-    fire with the same messages as the other two engines.
+    fire with the same messages as the generator loop.
     """
 
     def __init__(
@@ -87,7 +87,7 @@ class VectorizedRun:
         self.terminated_round = np.full(self.n, _NEVER, dtype=np.int64)
         #: Graph label -> protocol return value, inserted in termination
         #: order (round order, then index order within a round) — the same
-        #: insertion order the generator engines produce.
+        #: insertion order the generator loop produces.
         self.outputs: Dict[Any, Any] = {}
         self.active_rounds = 0
         self.last_active_round: Optional[int] = None
@@ -97,7 +97,7 @@ class VectorizedRun:
     # -- round bookkeeping + safety valves ------------------------------
 
     def begin_round(self, round_index: int) -> None:
-        """Count one active round; trip the livelock valve like the loops."""
+        """Count one active round; trip the livelock valve like the loop."""
         from repro.sim.runner import livelocked_error
 
         self.active_rounds += 1
@@ -109,7 +109,7 @@ class VectorizedRun:
         """Count one awake round for *indices* (ascending simulator order).
 
         The awake-budget valve raises for the lowest offending index —
-        the same node the per-node loops (which iterate ascending) name.
+        the same node the generator loop (which iterates ascending) names.
         """
         from repro.sim.runner import awake_budget_error
 
@@ -155,9 +155,8 @@ class VectorizedRun:
 
     def to_result(self):
         """Package the filled-in state as a :class:`RunResult`."""
-        from repro.sim.runner import RunResult, missing_outputs_error
+        from repro.sim.runner import assemble_result
 
-        labels = self.labels
         awake = self.awake_rounds.tolist()
         sent = self.messages_sent.tolist()
         received = self.messages_received.tolist()
@@ -177,13 +176,4 @@ class VectorizedRun:
             active_rounds=self.active_rounds,
             bits_metered=False,
         )
-        awake_by_label = dict(zip(labels, awake))
-        missing = [label for label in labels if label not in self.outputs]
-        if missing:
-            raise missing_outputs_error(missing)
-        return RunResult(
-            outputs=self.outputs,
-            metrics=metrics,
-            awake_by_label=awake_by_label,
-            trace=None,
-        )
+        return assemble_result(self.labels, self.outputs, metrics)

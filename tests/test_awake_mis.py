@@ -147,7 +147,7 @@ class TestComplexity:
 
     def test_congest_message_sizes(self):
         # Metering (and hence max_message_bits) is only active when a bit
-        # limit is set; the unmetered fast path skips size estimation.
+        # limit is set; an unmetered run skips size estimation.
         budget = 64 * math.ceil(math.log2(90 + 2))
         graph = generators.gnp_graph(90, expected_degree=6, seed=18)
         result = run_awake_mis(graph, seed=19, message_bit_limit=budget)

@@ -132,9 +132,16 @@ def chaos_worker(tmp_path, request):
     """A 2-slot worker with persistent logs, artefact-exported at teardown."""
     process, address, exec_log, worker_log = _spawn_logged_worker(tmp_path)
     yield process, address, exec_log
+    # SIGTERM takes the worker's orderly shutdown path, which unlinks its
+    # shared graph segments; SIGKILL is only the fallback for a worker that
+    # does not exit in time.
     if process.poll() is None:
+        process.terminate()
+    try:
+        process.wait(timeout=10)
+    except subprocess.TimeoutExpired:
         process.kill()
-    process.wait()
+        process.wait()
     _export_artifacts(tmp_path, request.node.name)
 
 

@@ -97,7 +97,7 @@ class TestComplexity:
 
     def test_congest_messages(self, small_gnp):
         # Metering (and hence max_message_bits) is only active when a bit
-        # limit is set; the unmetered fast path skips size estimation.
+        # limit is set; an unmetered run skips size estimation.
         n = small_gnp.number_of_nodes()
         budget = 64 * math.ceil(math.log2(n + 2))
         result = run_ldt_mis(small_gnp, seed=8, message_bit_limit=budget)

@@ -1,13 +1,14 @@
 """Round-semantics regression tests for the SLEEPING-CONGEST driver.
 
-The simulator has three round engines — the generator fast loop (no trace,
-no bit limit), the metered loop (tracing and/or CONGEST accounting), and
-the numpy whole-round engine for protocols that opt in (``luby``).  These
-tests pin the model semantics of paper Section 1.3 on all of them: messages
-to sleeping nodes are lost, the bit budget fires exactly at the limit,
-protocol violations (non-increasing rounds, out-of-range ports) are
-rejected, and every engine agrees on every count-based metric (the
-invariant: engine choice changes wall-clock, never bytes).
+The simulator has two round engines — the generator round loop, which
+meters a run (CONGEST bit accounting and/or tracing) as a per-sender step
+when asked to, and the numpy whole-round engine for protocols that opt in
+(``luby``).  These tests pin the model semantics of paper Section 1.3 on
+both of them, metered and unmetered: messages to sleeping nodes are lost,
+the bit budget fires exactly at the limit, protocol violations
+(non-increasing rounds, out-of-range ports) are rejected, per-node bit
+counters match the trace, and metering and engine choice never change a
+count-based metric (the invariant: they change wall-clock, never bytes).
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MessageTooLargeError, ProtocolViolationError
+from repro.experiments.harness import available_algorithms, run_mis
 from repro.graphs import generators
 from repro.sim import WakeCall, estimate_bits, run_protocol
 from repro.sim.metrics import CompactRunMetrics
 
 
-#: Simulator configurations covering both round loops.  A huge bit limit
-#: forces the metered loop without ever tripping the budget.
+#: Simulator configurations: unmetered ("fast"), bit-metered and traced.
+#: A huge bit limit meters the run without ever tripping the budget.
 PATHS = {
     "fast": {"trace": False, "message_bit_limit": None},
     "metered": {"trace": False, "message_bit_limit": 10_000},
@@ -123,6 +125,31 @@ class TestBitLimit:
             self._run(10)
 
 
+class TestBitAccounting:
+    @pytest.mark.parametrize("algorithm", ["luby", "awake_mis"])
+    def test_per_node_counters_match_the_trace(self, algorithm):
+        """On a traced, bit-limited run every node's message and bit
+        counters equal what the trace says it sent and received."""
+        graph = generators.gnp_graph(32, expected_degree=5, seed=4)
+        raw = run_mis(graph, algorithm, seed=5, trace=True, keep_raw=True).raw
+        assert raw.metrics.bits_metered
+        assert raw.trace.messages
+
+        labels = list(raw.awake_by_label)  # simulator index order
+        sent_bits = {label: [] for label in labels}
+        received = dict.fromkeys(labels, 0)
+        for event in raw.trace.messages:
+            sent_bits[event.sender].append(estimate_bits(event.payload))
+            if event.delivered:
+                received[event.receiver] += 1
+        for label, node in zip(labels, raw.metrics.per_node):
+            bits = sent_bits[label]
+            assert node.bits_sent == sum(bits), label
+            assert node.max_message_bits == max(bits, default=0), label
+            assert node.messages_sent == len(bits), label
+            assert node.messages_received == received[label], label
+
+
 # --------------------------------------------------------------------------- #
 # Protocol violations
 # --------------------------------------------------------------------------- #
@@ -213,31 +240,33 @@ class TestOutputsCoverage:
 
 
 class TestPathEquivalence:
-    @pytest.mark.parametrize("algorithm_seed", [3, 4])
-    def test_fast_and_metered_loops_agree_on_counts(self, algorithm_seed):
-        """Same protocol, same seed: every count-based metric must match
-        between the fast loop and the metered loop (bit statistics are the
-        documented exception — the fast loop reports them as 0)."""
-        from repro.algorithms.luby import luby_protocol
+    @pytest.mark.parametrize("representation", ["nx", "csr"])
+    @pytest.mark.parametrize("family", ["gnp", "rgg"])
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_metering_never_changes_results(self, algorithm, family,
+                                            representation):
+        """Same algorithm, same seed: metering (the CONGEST bit budget)
+        must not change the MIS, any node's awake count or any
+        count-based metric.  Bit statistics are the documented exception
+        — the unmetered run reports ``max_message_bits`` as ``None``."""
+        graph = generators.by_name(family, 48, seed=2)
+        if representation == "csr":
+            graph = generators.to_csr(graph).view()
+        # vectorized=False keeps unmetered luby on the generator loop (it
+        # would otherwise dispatch to the numpy whole-round engine).
+        params = {"vectorized": False} if algorithm == "luby" else {}
+        metered = run_mis(graph, algorithm, seed=3, enforce_congest=True)
+        unmetered = run_mis(graph, algorithm, seed=3, enforce_congest=False,
+                            **params)
 
-        graph = generators.gnp_graph(48, expected_degree=6, seed=2)
-        inputs = {"max_iterations": 4096}
-        # vectorized=False pins the generator fast loop (luby would
-        # otherwise auto-dispatch to the numpy whole-round engine here).
-        fast = run_protocol(graph, luby_protocol, inputs=inputs,
-                            seed=algorithm_seed, vectorized=False)
-        metered = run_protocol(graph, luby_protocol, inputs=inputs,
-                               seed=algorithm_seed, trace=True,
-                               message_bit_limit=10_000)
-
-        assert {k: bool(v) for k, v in fast.outputs.items()} == \
-               {k: bool(v) for k, v in metered.outputs.items()}
-        assert fast.awake_by_label == metered.awake_by_label
-        fast_summary = fast.metrics.summary()
+        assert metered.mis == unmetered.mis
+        assert ([node.awake_rounds for node in metered.metrics.per_node]
+                == [node.awake_rounds for node in unmetered.metrics.per_node])
         metered_summary = metered.metrics.summary()
-        fast_summary.pop("max_message_bits")
-        metered_summary.pop("max_message_bits")
-        assert fast_summary == metered_summary
+        unmetered_summary = unmetered.metrics.summary()
+        assert metered_summary.pop("max_message_bits") > 0
+        assert unmetered_summary.pop("max_message_bits") is None
+        assert metered_summary == unmetered_summary
 
     def test_unmetered_bit_statistics_read_not_measured(self):
         """Unmetered runs report max_message_bits as None (never a
@@ -268,36 +297,13 @@ class TestPathEquivalence:
 
 
 class TestCSRPathEquivalence:
-    """The CSR fast path must change *speed*, never bytes.
+    """A networkx graph and its CSR view must simulate identically.
 
-    ``run_protocol`` over a CSR-backed graph routes sends straight out
-    of the flat ``(offsets, neighbors, arrivals)`` arrays in the fast
-    loop; the metered loop and the adjacency-list representation are the
-    oracles it must agree with, count for count.
+    ``run_protocol`` converts a networkx graph to CSR arrays once and
+    wraps a CSR view without copying; both then route sends through the
+    same flat ``(offsets, neighbors, arrivals)`` arrays, so they must
+    agree count for count, metered or not.
     """
-
-    @pytest.mark.parametrize("algorithm_seed", [3, 4])
-    def test_csr_fast_and_metered_loops_agree_on_counts(
-            self, algorithm_seed):
-        from repro.algorithms.luby import luby_protocol
-
-        csr = generators.to_csr(
-            generators.gnp_graph(48, expected_degree=6, seed=2)).view()
-        inputs = {"max_iterations": 4096}
-        fast = run_protocol(csr, luby_protocol, inputs=inputs,
-                            seed=algorithm_seed, vectorized=False)
-        metered = run_protocol(csr, luby_protocol, inputs=inputs,
-                               seed=algorithm_seed, trace=True,
-                               message_bit_limit=10_000)
-
-        assert {k: bool(v) for k, v in fast.outputs.items()} == \
-               {k: bool(v) for k, v in metered.outputs.items()}
-        assert fast.awake_by_label == metered.awake_by_label
-        fast_summary = fast.metrics.summary()
-        metered_summary = metered.metrics.summary()
-        fast_summary.pop("max_message_bits")
-        metered_summary.pop("max_message_bits")
-        assert fast_summary == metered_summary
 
     def test_csr_representation_matches_adjacency_lists(self, sim_config):
         """Same seed, both loops: CSR arrays and networkx adjacency must
@@ -317,9 +323,10 @@ class TestCSRPathEquivalence:
 
 
 class TestVectorizedEngineEquivalence:
-    """The numpy whole-round engine is the third interchangeable engine.
+    """The numpy whole-round engine is interchangeable with the generator loop.
 
-    For a protocol that opts in (``luby``), all three engines must produce
+    For a protocol that opts in (``luby``), the vectorized engine and the
+    generator loop, unmetered and metered, must produce
     the same outputs *in the same insertion order*, the same per-node
     awake/message/termination counters and the same aggregate metrics —
     byte identity, not statistical agreement.  (The engine's own unit and
@@ -336,8 +343,8 @@ class TestVectorizedEngineEquivalence:
         if representation == "csr":
             graph = generators.to_csr(graph).view()
         inputs = {"max_iterations": 4096}
-        fast = run_protocol(graph, luby_protocol, inputs=inputs,
-                            seed=algorithm_seed, vectorized=False)
+        generator = run_protocol(graph, luby_protocol, inputs=inputs,
+                                 seed=algorithm_seed, vectorized=False)
         vectorized = run_protocol(graph, luby_protocol, inputs=inputs,
                                   seed=algorithm_seed, vectorized=True)
         metered = run_protocol(graph, luby_protocol, inputs=inputs,
@@ -354,7 +361,7 @@ class TestVectorizedEngineEquivalence:
                     result.awake_by_label, result.metrics.active_rounds,
                     result.metrics.last_active_round)
 
-        assert essence(vectorized) == essence(fast)
+        assert essence(vectorized) == essence(generator)
         assert essence(vectorized) == essence(metered)
         assert vectorized.metrics.bits_metered is False
         assert vectorized.metrics.max_message_bits is None

@@ -1,10 +1,11 @@
 """Tests for the numpy whole-round engine (:mod:`repro.sim.vectorized`).
 
 The engine's contract is "bytes never change, only wall-clock": these
-tests pin three-way agreement (metered loop / generator fast loop /
-vectorized engine) across graph families and seeds, the dispatch gating
-(``vectorized`` tri-state), equal RNG consumption per node stream, the
-whole-round array primitives, and identical safety-valve messages.
+tests pin three-way agreement (the generator round loop unmetered, the
+same loop metered, the vectorized engine) across graph families and
+seeds, the dispatch gating (``vectorized`` tri-state), equal RNG
+consumption per node stream, the whole-round array primitives, and
+identical safety-valve messages.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ def _summarize(result):
 
 
 def _run_three_ways(graph, seed):
-    fast = run_protocol(graph, luby_protocol, inputs=INPUTS, seed=seed,
-                        vectorized=False)
+    generator = run_protocol(graph, luby_protocol, inputs=INPUTS, seed=seed,
+                             vectorized=False)
     vectorized = run_protocol(graph, luby_protocol, inputs=INPUTS, seed=seed,
                               vectorized=True)
     metered = run_protocol(graph, luby_protocol, inputs=INPUTS, seed=seed,
                            message_bit_limit=100_000)
-    return fast, vectorized, metered
+    return generator, vectorized, metered
 
 
 # --------------------------------------------------------------------------- #
@@ -130,17 +131,17 @@ class TestThreeWayByteIdentity:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_engines_agree_on_gnp(self, seed):
         graph = by_name("gnp", 48, seed=2)
-        fast, vectorized, metered = _run_three_ways(graph, seed)
-        assert _summarize(vectorized) == _summarize(fast)
-        # The metered loop measures bits; everything else must match.
+        generator, vectorized, metered = _run_three_ways(graph, seed)
+        assert _summarize(vectorized) == _summarize(generator)
+        # The metered run measures bits; everything else must match.
         assert _summarize(vectorized)[:-1] == _summarize(metered)[:-1]
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_engines_agree_on_csr_representation(self, seed):
         graph = by_name("gnp", 48, seed=2)
         csr = to_csr(graph).view()
-        fast, vectorized, metered = _run_three_ways(csr, seed)
-        assert _summarize(vectorized) == _summarize(fast)
+        generator, vectorized, metered = _run_three_ways(csr, seed)
+        assert _summarize(vectorized) == _summarize(generator)
         assert _summarize(vectorized)[:-1] == _summarize(metered)[:-1]
         # and the CSR run matches the adjacency-list run byte for byte
         assert _summarize(vectorized) == _summarize(
@@ -149,8 +150,8 @@ class TestThreeWayByteIdentity:
 
     def test_edgeless_graph(self):
         graph = by_name("path", 1)
-        fast, vectorized, _ = _run_three_ways(graph, seed=7)
-        assert _summarize(vectorized) == _summarize(fast)
+        generator, vectorized, _ = _run_three_ways(graph, seed=7)
+        assert _summarize(vectorized) == _summarize(generator)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -161,11 +162,11 @@ class TestThreeWayByteIdentity:
     )
     def test_property_engines_agree(self, family, n, graph_seed, run_seed):
         graph = by_name(family, n, seed=graph_seed)
-        fast = run_protocol(graph, luby_protocol, inputs=INPUTS,
-                            seed=run_seed, vectorized=False)
+        generator = run_protocol(graph, luby_protocol, inputs=INPUTS,
+                                 seed=run_seed, vectorized=False)
         vectorized = run_protocol(graph, luby_protocol, inputs=INPUTS,
                                   seed=run_seed, vectorized=True)
-        assert _summarize(vectorized) == _summarize(fast)
+        assert _summarize(vectorized) == _summarize(generator)
 
 
 # --------------------------------------------------------------------------- #

@@ -104,9 +104,9 @@ class TestComplexity:
             assert result.trace.awake_rounds_of(label) == expected
 
     def test_messages_are_congest_sized(self):
-        # An explicit bit limit keeps the simulator on the metered path, so
-        # max_message_bits reflects real sizes (the unmetered fast path
-        # reports 0) and any over-budget message raises instead.
+        # An explicit bit limit meters the run, so max_message_bits
+        # reflects real sizes (an unmetered run reports None) and any
+        # over-budget message raises instead.
         graph = generators.gnp_graph(64, expected_degree=8, seed=5)
         order = list(graph.nodes)
         _, result = run_vt_mis(graph, order, message_bit_limit=80)
