@@ -104,7 +104,7 @@ def luby_vectorized(run):
     max_iterations = run.inputs.get("max_iterations", 4096)
     undecided = np.ones(run.n, dtype=bool)
     labels = run.labels
-    draw = [rng.randrange for rng in run.rngs]
+    rngs = run.rngs
     # Decided nodes read as +inf in the priority array so a strict local
     # minimum among *undecided* neighbours is just a strict minimum over
     # all neighbours (any real priority is < INF, and empty rows win).
@@ -117,7 +117,8 @@ def luby_vectorized(run):
         base = ROUNDS_PER_ITERATION * iteration
 
         priorities = np.full(run.n, INF, dtype=np.int64)
-        priorities[idx] = [draw[i](PRIORITY_SPACE) for i in idx.tolist()]
+        priorities[idx] = [rngs[i].randrange(PRIORITY_SPACE)
+                           for i in idx.tolist()]
 
         # Round 1: every undecided node is awake, sends its priority on
         # every port, and receives one message per undecided neighbour.

@@ -59,6 +59,7 @@ shipped protocol reads its inbox immediately upon resumption.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
@@ -292,19 +293,30 @@ class Simulator:
         return None
 
     def _run_vectorized(self, engine, inputs, local_inputs) -> RunResult:
-        """Drive *engine* over a :class:`~repro.sim.vectorized.VectorizedRun`."""
+        """Drive *engine* over a :class:`~repro.sim.vectorized.VectorizedRun`.
+
+        The cyclic garbage collector is paused for the run: the engine
+        allocates O(n) long-lived, acyclic objects (RNGs, outputs, metrics)
+        in bulk, which every collection would only re-traverse.
+        """
         from repro.sim.vectorized import VectorizedRun
 
-        state = VectorizedRun(
-            self._network,
-            seed=self._seed,
-            inputs=inputs,
-            local_inputs=local_inputs,
-            max_active_rounds=self._max_active_rounds,
-            max_awake_per_node=self._max_awake_per_node,
-        )
-        engine(state)
-        return state.to_result()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            state = VectorizedRun(
+                self._network,
+                seed=self._seed,
+                inputs=inputs,
+                local_inputs=local_inputs,
+                max_active_rounds=self._max_active_rounds,
+                max_awake_per_node=self._max_awake_per_node,
+            )
+            engine(state)
+            return state.to_result()
+        finally:
+            if collecting:
+                gc.enable()
 
     # ------------------------------------------------------------------ #
     def _drive(

@@ -10,6 +10,7 @@ identical safety-valve messages.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -283,3 +284,41 @@ class TestSafetyValves:
         with pytest.raises(SimulationError,
                            match=r"3 node\(s\) never terminated"):
             state.to_result()
+
+
+# --------------------------------------------------------------------------- #
+# Garbage-collector pause
+# --------------------------------------------------------------------------- #
+class TestCollectorPause:
+    """The engine pauses the cyclic collector and always restores it."""
+
+    def test_collector_paused_during_the_engine_only(self, monkeypatch):
+        seen = []
+        original = luby_protocol.vectorized_engine
+
+        def engine(run):
+            seen.append(gc.isenabled())
+            return original(run)
+
+        monkeypatch.setattr(luby_protocol, "vectorized_engine", engine)
+        assert gc.isenabled()
+        run_protocol(by_name("gnp", 24, seed=3), luby_protocol,
+                     inputs=INPUTS, seed=1, vectorized=True)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_collector_re_enabled_when_the_engine_raises(self):
+        simulator = Simulator(build_network(by_name("gnp", 24, seed=3)),
+                              seed=1, vectorized=True, max_active_rounds=1)
+        with pytest.raises(SimulationError, match="livelocked"):
+            simulator.run(luby_protocol, inputs=INPUTS)
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            run_protocol(by_name("gnp", 24, seed=3), luby_protocol,
+                         inputs=INPUTS, seed=1, vectorized=True)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
