@@ -17,6 +17,12 @@ engines' throughput lands in the perf-trajectory file
 (``vectorized_luby_tasks_per_second`` /
 ``generator_luby_tasks_per_second``) and is gated by
 ``compare_bench.py`` against ``BENCH_seed.json``.
+
+``rank_greedy`` opts into the same engine (it shares Luby's two-round
+local-minimum iteration), so the same graph also pins its byte-identity
+and records ``vectorized_rank_greedy_tasks_per_second`` /
+``generator_rank_greedy_tasks_per_second`` — reported, not gated (one
+generator run between two vectorized runs, ~2 s).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import time
 
 from repro.algorithms.luby import luby_protocol
+from repro.algorithms.rank_greedy import rank_greedy_protocol
 from repro.experiments.tables import format_table
 from repro.graphs.generators import build_csr
 from repro.sim.runner import run_protocol
@@ -99,6 +106,22 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
     vectorized_rate = vectorized_runs / max(vectorized_seconds, 1e-9)
     speedup = min(generator_times) / max(min(vectorized_times), 1e-9)
 
+    # rank_greedy on the same graph: the first vectorized run and the
+    # generator run pin byte-identity; all three are timed.
+    rank_times = {False: [], True: []}
+    rank_results = {}
+    for vectorized in (True, False, True):
+        started = time.perf_counter()
+        result = run_protocol(csr, rank_greedy_protocol, seed=0,
+                              vectorized=vectorized)
+        rank_times[vectorized].append(time.perf_counter() - started)
+        rank_results.setdefault(vectorized, result)
+    assert _summarize(rank_results[True]) == _summarize(rank_results[False])
+    assert list(rank_results[True].outputs) == list(rank_results[False].outputs)
+    rank_seconds = {engine: sum(times) for engine, times in rank_times.items()}
+    rank_rates = {engine: len(rank_times[engine]) / max(seconds, 1e-9)
+                  for engine, seconds in rank_seconds.items()}
+
     rows = [
         {"engine": f"generator round loop (x{generator_runs})",
          "best_s": round(min(generator_times), 3),
@@ -108,10 +131,16 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
          "tasks_per_s": round(vectorized_rate, 2)},
         {"engine": "speedup (best-of)", "best_s": round(speedup, 2),
          "tasks_per_s": ""},
+        {"engine": "rank_greedy generator (x1)",
+         "best_s": round(min(rank_times[False]), 3),
+         "tasks_per_s": round(rank_rates[False], 2)},
+        {"engine": "rank_greedy vectorized (x2)",
+         "best_s": round(min(rank_times[True]), 3),
+         "tasks_per_s": round(rank_rates[True], 2)},
     ]
     print()
-    print(format_table(rows, title=f"vectorized rounds, unmetered luby "
-                                   f"(gnp n={n}, m={csr.m})"))
+    print(format_table(rows, title=f"vectorized rounds, unmetered luby and "
+                                   f"rank_greedy (gnp n={n}, m={csr.m})"))
 
     bench_record(
         "vectorized_rounds",
@@ -124,6 +153,10 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
         vectorized_luby_seconds=round(vectorized_seconds, 4),
         generator_luby_tasks_per_second=round(generator_rate, 3),
         vectorized_luby_tasks_per_second=round(vectorized_rate, 3),
+        generator_rank_greedy_seconds=round(rank_seconds[False], 4),
+        vectorized_rank_greedy_seconds=round(rank_seconds[True], 4),
+        generator_rank_greedy_tasks_per_second=round(rank_rates[False], 3),
+        vectorized_rank_greedy_tasks_per_second=round(rank_rates[True], 3),
         speedup=round(speedup, 3),
     )
     assert speedup >= SPEEDUP_FLOOR, (

@@ -10,7 +10,7 @@ whether the node joined the MIS.  The experiment harness converts a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.sim.runner import RunResult
 
@@ -67,3 +67,56 @@ def neighbor_states_in_mis(inbox: List) -> bool:
         if state == IN_MIS:
             return True
     return False
+
+
+def local_minimum_vectorized(run, draw: Callable, detail: Callable,
+                             exhausted: str) -> None:
+    """Whole-round numpy twin of the two-round local-minimum iteration.
+
+    Shared by ``luby`` and ``rank_greedy``, which differ only in their keys
+    and decision details: *draw(idx)* returns this iteration's keys of the
+    undecided nodes *idx* (ascending), *detail(i, k)* the detail of node
+    *i* deciding in iteration *k*.  *run* is a
+    :class:`~repro.sim.vectorized.VectorizedRun`; when its
+    ``max_iterations`` input runs out, raises the generators'
+    ``RuntimeError(exhausted.format(max_iterations))``.
+    """
+    np = run.np
+    max_iterations = run.inputs.get("max_iterations", 4096)
+    undecided = np.ones(run.n, dtype=bool)
+    # Decided nodes read as +inf, so a strict minimum over all neighbours
+    # is a strict local minimum among undecided ones (empty rows win).
+    INF = np.int64(1) << 62
+    for iteration in range(max_iterations):
+        idx = np.flatnonzero(undecided)
+        if idx.size == 0:
+            return
+        base = 2 * iteration
+        keys = np.full(run.n, INF, dtype=np.int64)
+        keys[idx] = draw(idx)
+
+        # Round 1: every undecided node is awake, sends its key on every
+        # port, and receives one message per undecided neighbour.
+        run.begin_round(base)
+        run.record_awake(idx)
+        run.messages_sent[idx] += run.degrees[idx]
+        run.messages_received[idx] += run.row_count(undecided)[idx]
+        winners = undecided & (keys < run.row_min(keys, empty=INF))
+
+        # Round 2: winners announce on every port; every undecided node
+        # hears one message per winning neighbour (0 for winners).
+        run.begin_round(base + 1)
+        run.record_awake(idx)
+        run.messages_sent[winners] += run.degrees[winners]
+        winning = run.row_count(winners)
+        run.messages_received[idx] += winning[idx]
+
+        decided = np.flatnonzero(winners | (undecided & (winning > 0)))
+        run.terminated_round[decided] = base + 1
+        for i, won in zip(decided.tolist(), winners[decided].tolist()):
+            run.outputs[run.labels[i]] = MISDecision(
+                in_mis=won, decided_round=base + 1,
+                detail=detail(i, iteration + 1))
+        undecided[decided] = False
+    if undecided.any():
+        raise RuntimeError(exhausted.format(max_iterations))

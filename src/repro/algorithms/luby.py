@@ -22,7 +22,8 @@ experiments E1/E2 compare against.
 
 from __future__ import annotations
 
-from repro.algorithms.common import IN_MIS, MISDecision, NOT_IN_MIS, UNDECIDED
+from repro.algorithms.common import (IN_MIS, MISDecision, NOT_IN_MIS,
+                                     UNDECIDED, local_minimum_vectorized)
 from repro.sim.actions import WakeCall
 from repro.sim.context import NodeContext
 
@@ -33,6 +34,10 @@ PRIORITY_SPACE = 2**48
 
 #: Rounds per Luby iteration (priority exchange + MIS announcement).
 ROUNDS_PER_ITERATION = 2
+
+#: Raised by both engines when ``max_iterations`` runs out.
+_EXHAUSTED = ("Luby did not terminate within {} iterations "
+              "(this indicates a bug or an absurdly small max_iterations)")
 
 
 def luby_protocol(ctx: NodeContext):
@@ -83,78 +88,18 @@ def luby_protocol(ctx: NodeContext):
                 detail={"iterations": iteration + 1},
             )
 
-    raise RuntimeError(
-        f"Luby did not terminate within {max_iterations} iterations "
-        "(this indicates a bug or an absurdly small max_iterations)"
-    )
+    raise RuntimeError(_EXHAUSTED.format(max_iterations))
 
 
 def luby_vectorized(run):
-    """Whole-round numpy twin of :func:`luby_protocol`.
-
-    Byte-identity with the generator above is a hard contract (pinned by
-    ``tests/test_vectorized.py``): one ``randrange`` per undecided node per
-    iteration in ascending index order, the same message counts (round 1
-    sends on every port, round 2 only winners send, a message is received
-    only by awake — i.e. undecided — neighbours), the same termination
-    rounds, the same :class:`MISDecision` payloads, and the same
-    ``RuntimeError`` when ``max_iterations`` runs out.
-    """
-    np = run.np
-    max_iterations = run.inputs.get("max_iterations", 4096)
-    undecided = np.ones(run.n, dtype=bool)
-    labels = run.labels
+    """Whole-round numpy twin of :func:`luby_protocol`, byte-identical to it
+    (pinned by ``tests/test_vectorized.py``): one ``randrange`` per
+    undecided node per iteration, in ascending index order."""
     rngs = run.rngs
-    # Decided nodes read as +inf in the priority array so a strict local
-    # minimum among *undecided* neighbours is just a strict minimum over
-    # all neighbours (any real priority is < INF, and empty rows win).
-    INF = np.int64(1) << 62
-
-    for iteration in range(max_iterations):
-        idx = np.flatnonzero(undecided)
-        if idx.size == 0:
-            return
-        base = ROUNDS_PER_ITERATION * iteration
-
-        priorities = np.full(run.n, INF, dtype=np.int64)
-        priorities[idx] = [rngs[i].randrange(PRIORITY_SPACE)
-                           for i in idx.tolist()]
-
-        # Round 1: every undecided node is awake, sends its priority on
-        # every port, and receives one message per undecided neighbour.
-        run.begin_round(base)
-        run.record_awake(idx)
-        run.messages_sent[idx] += run.degrees[idx]
-        run.messages_received[idx] += run.row_count(undecided)[idx]
-        winners = undecided & (priorities < run.row_min(priorities, empty=INF))
-
-        # Round 2: winners announce on every port; every undecided node is
-        # awake and hears one message per winning neighbour (0 for winners
-        # themselves — no two adjacent strict local minima exist).
-        run.begin_round(base + 1)
-        run.record_awake(idx)
-        run.messages_sent[winners] += run.degrees[winners]
-        winning = run.row_count(winners)
-        run.messages_received[idx] += winning[idx]
-
-        losers = undecided & ~winners & (winning > 0)
-        decided_idx = np.flatnonzero(winners | losers)
-        if decided_idx.size:
-            run.terminated_round[decided_idx] = base + 1
-            outputs = run.outputs
-            for i, won in zip(decided_idx.tolist(),
-                              winners[decided_idx].tolist()):
-                outputs[labels[i]] = MISDecision(
-                    in_mis=won,
-                    decided_round=base + 1,
-                    detail={"iterations": iteration + 1},
-                )
-            undecided[decided_idx] = False
-
-    raise RuntimeError(
-        f"Luby did not terminate within {max_iterations} iterations "
-        "(this indicates a bug or an absurdly small max_iterations)"
-    )
+    local_minimum_vectorized(
+        run, lambda idx: [rngs[i].randrange(PRIORITY_SPACE)
+                          for i in idx.tolist()],
+        lambda i, k: {"iterations": k}, _EXHAUSTED)
 
 
 #: Opt the generator protocol into the vectorized engine (see

@@ -17,12 +17,16 @@ Luby, but with the LFMIS output.
 
 from __future__ import annotations
 
-from repro.algorithms.common import IN_MIS, MISDecision, NOT_IN_MIS, UNDECIDED
+from repro.algorithms.common import (IN_MIS, MISDecision, NOT_IN_MIS,
+                                     UNDECIDED, local_minimum_vectorized)
 from repro.sim.actions import WakeCall
 from repro.sim.context import NodeContext
 
 #: Ranks are drawn from this space once per run.
 RANK_SPACE = 2**48
+
+#: Raised by both engines when ``max_iterations`` runs out.
+_EXHAUSTED = "rank-greedy did not terminate within {} iterations"
 
 
 def rank_greedy_protocol(ctx: NodeContext):
@@ -58,6 +62,20 @@ def rank_greedy_protocol(ctx: NodeContext):
             return MISDecision(in_mis=False, decided_round=base + 1,
                                detail={"iterations": iteration + 1, "rank": rank})
 
-    raise RuntimeError(
-        f"rank-greedy did not terminate within {max_iterations} iterations"
-    )
+    raise RuntimeError(_EXHAUSTED.format(max_iterations))
+
+
+def rank_greedy_vectorized(run):
+    """Whole-round numpy twin of :func:`rank_greedy_protocol`: each node's
+    one rank is drawn up front from its own stream and then fixed, so rank
+    ties livelock exactly as in the generator."""
+    ranks = [rng.randrange(RANK_SPACE) for rng in run.rngs]
+    keys = run.np.array(ranks, dtype=run.np.int64)
+    local_minimum_vectorized(
+        run, lambda idx: keys[idx],
+        lambda i, k: {"iterations": k, "rank": ranks[i]}, _EXHAUSTED)
+
+
+#: Opt the generator protocol into the vectorized engine (see
+#: ``repro.sim.vectorized``); the simulator discovers this attribute.
+rank_greedy_protocol.vectorized_engine = rank_greedy_vectorized

@@ -183,9 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
                "simulator's generator round loop estimates every "
                "message's size).  Programmatic callers that pass "
                "enforce_congest=False skip the size estimates and — for "
-               "algorithms with a vectorized twin (luby) — get the numpy "
-               "whole-round engine over the CSR arrays.  Metering and "
-               "engine choice never change outputs or awake/round/message "
+               "algorithms with a vectorized twin (luby, rank_greedy) — get "
+               "the numpy whole-round engine over the CSR arrays.  Metering "
+               "and engine choice never change outputs or awake/round/message "
                "counts, only wall-clock time.")
     run_parser.add_argument("--algorithm", default="awake_mis",
                             choices=available_algorithms())
@@ -202,8 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
                  "Unmetered runs (algorithm_params with enforce_congest=False "
                  "via the Python API) skip the size estimates, and use the "
                  "numpy whole-round engine for algorithms that opt in "
-                 "(luby); metering and engine choice never change recorded "
-                 "rows, only wall-clock time.")
+                 "(luby, rank_greedy); metering and engine choice never "
+                 "change recorded rows, only wall-clock time.")
     sweep_parser.add_argument("--algorithms", nargs="+",
                               default=["awake_mis", "luby"],
                               choices=available_algorithms())

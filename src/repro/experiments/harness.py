@@ -195,10 +195,11 @@ def _run_rank_greedy(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
     return run_protocol(
         graph,
         rank_greedy_protocol,
-        inputs={},
+        inputs={"max_iterations": params.get("max_iterations", 4096)},
         seed=seed,
         message_bit_limit=params.get("message_bit_limit"),
         trace=params.get("trace", False),
+        vectorized=params.get("vectorized"),
     )
 
 
@@ -289,9 +290,10 @@ def run_mis(
         budget of :func:`default_message_bit_limit`.  Passing False lifts
         the bit limit, which also unlocks the simulator's fast engines —
         including the numpy whole-round engine for algorithms that opt in
-        (``luby``; select with the ``vectorized`` parameter, tri-state as
-        in :func:`repro.sim.runner.run_protocol`).  Engine choice never
-        changes outputs or awake/round/message counts, only wall-clock.
+        (``luby``, ``rank_greedy``; select with the ``vectorized``
+        parameter, tri-state as in :func:`repro.sim.runner.run_protocol`).
+        Engine choice never changes outputs or awake/round/message counts,
+        only wall-clock.
     keep_raw:
         When True the full :class:`repro.sim.runner.RunResult` (including the
         per-node outputs) is attached as ``raw``.
@@ -329,8 +331,10 @@ def run_mis(
     mis = mis_from_result(raw)
     independent = maximal = True
     if verify:
-        independent = is_independent_set(graph, mis)
+        # Maximal means independent *and* dominating, so a maximal set
+        # needs no second independence pass; only a failed check asks.
         maximal = is_maximal_independent_set(graph, mis)
+        independent = maximal or is_independent_set(graph, mis)
 
     result = MISRunResult(
         algorithm=algorithm,

@@ -42,10 +42,10 @@ wall-clock time, never bytes:
 2. The **vectorized engine** (:mod:`repro.sim.vectorized`) computes whole
    rounds as numpy array operations over the CSR arrays, for protocols
    whose rounds are dense (every undecided node awake every iteration,
-   Luby-style).  A protocol opts in by exposing a ``vectorized_engine``
-   attribute on its factory (``luby`` does); the engine engages only on
-   unmetered runs, falling back to the generator loop otherwise.
-   Priorities are drawn from the same per-node ``spawn_rng`` streams in
+   as in ``luby`` and ``rank_greedy``).  A protocol opts in by exposing a
+   ``vectorized_engine`` attribute on its factory (``luby``,
+   ``rank_greedy``); the engine engages only on unmetered runs, falling
+   back to the generator loop otherwise.  Random keys are drawn from the same per-node ``spawn_rng`` streams in
    the same per-node order, so the run is bit-for-bit identical to the
    generator loop (pinned by ``tests/test_runner_semantics.py``).  Pass
    ``vectorized=False`` to pin the generator loop, ``vectorized=True`` to

@@ -2,12 +2,15 @@
 
 The simulator's second engine, next to the generator round loop of
 :mod:`repro.sim.runner`: protocols whose rounds are *dense* —
-every undecided node awake every iteration, Luby-style — can compute whole
-rounds as array operations over the flat CSR adjacency instead of resuming
-one generator per node per round.
+every undecided node awake every iteration, as in ``luby`` and
+``rank_greedy`` — can compute whole rounds as array operations over the
+flat CSR adjacency instead of resuming one generator per node per round.
 
 A protocol opts in by exposing a ``vectorized_engine`` attribute on its
-factory (see ``repro.algorithms.luby``): a callable receiving one
+factory (``luby`` and ``rank_greedy`` do, both over the shared
+local-minimum iteration
+:func:`repro.algorithms.common.local_minimum_vectorized`): a callable
+receiving one
 :class:`VectorizedRun` — the CSR arrays as numpy views, the per-node RNG
 streams, per-node metric arrays, and the same safety valves the generator
 loop enforces.  The engine engages only on unmetered runs (tracing off, no

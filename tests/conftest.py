@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
+import pkgutil
 import socket
 import struct
 import subprocess
@@ -11,6 +13,7 @@ import threading
 import networkx as nx
 import pytest
 
+import repro.algorithms
 from repro.graphs import generators
 
 
@@ -291,3 +294,34 @@ def any_small_graph(request):
         "tree": lambda: generators.random_tree(15, seed=9),
     }
     return builders[request.param]()
+
+
+def _discover_vectorized_protocols():
+    """Algorithm module name -> protocol factory exposing ``vectorized_engine``.
+
+    Scans every module of :mod:`repro.algorithms`, so a protocol that gains
+    a numpy twin is picked up by the engine suite without editing a list.
+    """
+    found = {}
+    for info in pkgutil.iter_modules(repro.algorithms.__path__):
+        module = importlib.import_module(f"repro.algorithms.{info.name}")
+        for value in vars(module).values():
+            if (getattr(value, "vectorized_engine", None) is not None
+                    and getattr(value, "__module__", None) == module.__name__):
+                found[info.name] = value
+    return found
+
+
+VECTORIZED_PROTOCOLS = _discover_vectorized_protocols()
+
+
+@pytest.fixture(scope="session")
+def vectorized_protocols():
+    """Every discovered opted-in protocol, keyed by algorithm name."""
+    return dict(VECTORIZED_PROTOCOLS)
+
+
+@pytest.fixture(scope="session", params=sorted(VECTORIZED_PROTOCOLS))
+def vectorized_protocol(request):
+    """Parametrised over every protocol that opts into the numpy engine."""
+    return VECTORIZED_PROTOCOLS[request.param]

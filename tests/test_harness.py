@@ -79,3 +79,60 @@ class TestRunMIS:
             result = run_mis(small_gnp, algorithm=algorithm, seed=5,
                              enforce_congest=True)
             assert result.verified
+
+
+class TestMaxIterations:
+    """``max_iterations`` reaches every local-minimum algorithm's engine."""
+
+    @pytest.mark.parametrize("algorithm", ["luby", "rank_greedy"])
+    def test_one_iteration_cap_raises_identically_on_every_engine(
+            self, algorithm):
+        graph = generators.gnp_graph(200, expected_degree=6, seed=3)
+        messages = []
+        for engine in ({"enforce_congest": False, "vectorized": False},
+                       {"enforce_congest": False, "vectorized": True},
+                       {}):
+            with pytest.raises(RuntimeError,
+                               match="did not terminate within 1 iterations"
+                               ) as excinfo:
+                run_mis(graph, algorithm=algorithm, seed=1, max_iterations=1,
+                        **engine)
+            messages.append(str(excinfo.value))
+        assert messages[1] == messages[0]
+        assert messages[2] == messages[0]
+
+
+class TestVerification:
+    """``maximal`` means independent *and* dominating, checked once."""
+
+    @pytest.mark.parametrize("mis, independent", [
+        ({0, 1, 2, 3}, False),  # dominating, but 0-1 are adjacent
+        ({0}, True),            # independent, but 2 and 3 are uncovered
+    ], ids=["non-independent", "non-dominating"])
+    def test_failed_candidate_is_not_maximal(self, monkeypatch, mis,
+                                             independent):
+        import repro.algorithms.common as common
+
+        monkeypatch.setattr(common, "mis_from_result", lambda raw: set(mis))
+        result = run_mis(generators.path_graph(4), algorithm="luby", seed=1)
+        assert (result.independent, result.maximal, result.verified) == (
+            independent, False, False)
+
+    def test_verified_run_checks_independence_once(self, monkeypatch):
+        import repro.core.mis as core_mis
+        import repro.experiments.harness as harness
+
+        calls = []
+        original = core_mis.is_independent_set
+
+        def counting(graph, candidate):
+            calls.append(1)
+            return original(graph, candidate)
+
+        monkeypatch.setattr(core_mis, "is_independent_set", counting)
+        monkeypatch.setattr(harness, "is_independent_set", counting)
+        result = run_mis(generators.gnp_graph(40, expected_degree=5, seed=2),
+                         algorithm="luby", seed=1)
+        assert (result.independent, result.maximal, result.verified) == (
+            True, True, True)
+        assert len(calls) == 1

@@ -244,7 +244,8 @@ class TestPathEquivalence:
     @pytest.mark.parametrize("family", ["gnp", "rgg"])
     @pytest.mark.parametrize("algorithm", available_algorithms())
     def test_metering_never_changes_results(self, algorithm, family,
-                                            representation):
+                                            representation,
+                                            vectorized_protocols):
         """Same algorithm, same seed: metering (the CONGEST bit budget)
         must not change the MIS, any node's awake count or any
         count-based metric.  Bit statistics are the documented exception
@@ -252,9 +253,11 @@ class TestPathEquivalence:
         graph = generators.by_name(family, 48, seed=2)
         if representation == "csr":
             graph = generators.to_csr(graph).view()
-        # vectorized=False keeps unmetered luby on the generator loop (it
-        # would otherwise dispatch to the numpy whole-round engine).
-        params = {"vectorized": False} if algorithm == "luby" else {}
+        # vectorized=False keeps unmetered runs of opted-in algorithms on
+        # the generator loop (they would otherwise dispatch to the numpy
+        # whole-round engine).
+        params = ({"vectorized": False} if algorithm in vectorized_protocols
+                  else {})
         metered = run_mis(graph, algorithm, seed=3, enforce_congest=True)
         unmetered = run_mis(graph, algorithm, seed=3, enforce_congest=False,
                             **params)
@@ -325,7 +328,8 @@ class TestCSRPathEquivalence:
 class TestVectorizedEngineEquivalence:
     """The numpy whole-round engine is interchangeable with the generator loop.
 
-    For a protocol that opts in (``luby``), the vectorized engine and the
+    For every protocol that opts in (``luby``, ``rank_greedy``; found by the
+    ``vectorized_protocol`` fixture), the vectorized engine and the
     generator loop, unmetered and metered, must produce
     the same outputs *in the same insertion order*, the same per-node
     awake/message/termination counters and the same aggregate metrics —
@@ -336,18 +340,16 @@ class TestVectorizedEngineEquivalence:
     @pytest.mark.parametrize("representation", ["nx", "csr"])
     @pytest.mark.parametrize("algorithm_seed", [3, 4])
     def test_all_three_engines_agree_byte_for_byte(
-            self, representation, algorithm_seed):
-        from repro.algorithms.luby import luby_protocol
-
+            self, vectorized_protocol, representation, algorithm_seed):
         graph = generators.gnp_graph(48, expected_degree=6, seed=2)
         if representation == "csr":
             graph = generators.to_csr(graph).view()
         inputs = {"max_iterations": 4096}
-        generator = run_protocol(graph, luby_protocol, inputs=inputs,
+        generator = run_protocol(graph, vectorized_protocol, inputs=inputs,
                                  seed=algorithm_seed, vectorized=False)
-        vectorized = run_protocol(graph, luby_protocol, inputs=inputs,
+        vectorized = run_protocol(graph, vectorized_protocol, inputs=inputs,
                                   seed=algorithm_seed, vectorized=True)
-        metered = run_protocol(graph, luby_protocol, inputs=inputs,
+        metered = run_protocol(graph, vectorized_protocol, inputs=inputs,
                                seed=algorithm_seed, trace=True,
                                message_bit_limit=10_000)
 

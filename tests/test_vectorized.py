@@ -5,7 +5,9 @@ tests pin three-way agreement (the generator round loop unmetered, the
 same loop metered, the vectorized engine) across graph families and
 seeds, the dispatch gating (``vectorized`` tri-state), equal RNG
 consumption per node stream, the whole-round array primitives, and
-identical safety-valve messages.
+identical safety-valve messages.  The engine-contract classes run over
+every protocol that exposes a ``vectorized_engine`` hook, found by
+scanning :mod:`repro.algorithms` (the ``vectorized_protocol`` fixture).
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.algorithms.rank_greedy as rank_greedy
 from repro.algorithms.luby import luby_protocol
 from repro.errors import ConfigurationError, SimulationError
-from repro.graphs.generators import by_name, to_csr
+from repro.graphs.generators import by_name, empty_graph, to_csr
 from repro.rng import derive_seed
 from repro.sim.network import build_network
 from repro.sim.runner import Simulator, run_protocol
@@ -47,14 +50,28 @@ def _summarize(result):
             result.metrics.last_active_round, result.metrics.bits_metered)
 
 
-def _run_three_ways(graph, seed):
-    generator = run_protocol(graph, luby_protocol, inputs=INPUTS, seed=seed,
+def _run_three_ways(protocol, graph, seed, inputs=INPUTS):
+    generator = run_protocol(graph, protocol, inputs=inputs, seed=seed,
                              vectorized=False)
-    vectorized = run_protocol(graph, luby_protocol, inputs=INPUTS, seed=seed,
+    vectorized = run_protocol(graph, protocol, inputs=inputs, seed=seed,
                               vectorized=True)
-    metered = run_protocol(graph, luby_protocol, inputs=INPUTS, seed=seed,
+    metered = run_protocol(graph, protocol, inputs=inputs, seed=seed,
                            message_bit_limit=100_000)
     return generator, vectorized, metered
+
+
+def _outcome(protocol, graph, seed, inputs=INPUTS, **kwargs):
+    """A run's engine-visible bytes, or its ``RuntimeError`` message."""
+    try:
+        return _summarize(run_protocol(graph, protocol, inputs=inputs,
+                                       seed=seed, **kwargs))[:-1]
+    except RuntimeError as error:
+        return str(error)
+
+
+def test_opted_in_protocols_are_discovered(vectorized_protocols):
+    """The engine suite below covers every protocol with a numpy twin."""
+    assert set(vectorized_protocols) == {"luby", "rank_greedy"}
 
 
 # --------------------------------------------------------------------------- #
@@ -130,28 +147,32 @@ class TestEngineDispatch:
 # --------------------------------------------------------------------------- #
 class TestThreeWayByteIdentity:
     @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_engines_agree_on_gnp(self, seed):
+    def test_engines_agree_on_gnp(self, vectorized_protocol, seed):
         graph = by_name("gnp", 48, seed=2)
-        generator, vectorized, metered = _run_three_ways(graph, seed)
+        generator, vectorized, metered = _run_three_ways(
+            vectorized_protocol, graph, seed)
         assert _summarize(vectorized) == _summarize(generator)
         # The metered run measures bits; everything else must match.
         assert _summarize(vectorized)[:-1] == _summarize(metered)[:-1]
 
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_engines_agree_on_csr_representation(self, seed):
+    def test_engines_agree_on_csr_representation(self, vectorized_protocol,
+                                                 seed):
         graph = by_name("gnp", 48, seed=2)
         csr = to_csr(graph).view()
-        generator, vectorized, metered = _run_three_ways(csr, seed)
+        generator, vectorized, metered = _run_three_ways(
+            vectorized_protocol, csr, seed)
         assert _summarize(vectorized) == _summarize(generator)
         assert _summarize(vectorized)[:-1] == _summarize(metered)[:-1]
         # and the CSR run matches the adjacency-list run byte for byte
         assert _summarize(vectorized) == _summarize(
-            run_protocol(graph, luby_protocol, inputs=INPUTS, seed=seed,
-                         vectorized=True))
+            run_protocol(graph, vectorized_protocol, inputs=INPUTS,
+                         seed=seed, vectorized=True))
 
-    def test_edgeless_graph(self):
+    def test_edgeless_graph(self, vectorized_protocol):
         graph = by_name("path", 1)
-        generator, vectorized, _ = _run_three_ways(graph, seed=7)
+        generator, vectorized, _ = _run_three_ways(vectorized_protocol,
+                                                   graph, seed=7)
         assert _summarize(vectorized) == _summarize(generator)
 
     @settings(max_examples=30, deadline=None)
@@ -161,13 +182,47 @@ class TestThreeWayByteIdentity:
         graph_seed=st.integers(min_value=0, max_value=10),
         run_seed=st.integers(min_value=0, max_value=1000),
     )
-    def test_property_engines_agree(self, family, n, graph_seed, run_seed):
+    def test_property_engines_agree(self, vectorized_protocol, family, n,
+                                    graph_seed, run_seed):
         graph = by_name(family, n, seed=graph_seed)
-        generator = run_protocol(graph, luby_protocol, inputs=INPUTS,
+        generator = run_protocol(graph, vectorized_protocol, inputs=INPUTS,
                                  seed=run_seed, vectorized=False)
-        vectorized = run_protocol(graph, luby_protocol, inputs=INPUTS,
+        vectorized = run_protocol(graph, vectorized_protocol, inputs=INPUTS,
                                   seed=run_seed, vectorized=True)
         assert _summarize(vectorized) == _summarize(generator)
+
+
+# --------------------------------------------------------------------------- #
+# Rank ties (rank_greedy draws its ranks once, so ties can livelock)
+# --------------------------------------------------------------------------- #
+class TestRankTies:
+    """Equal adjacent ranks never win; both engines must agree on it."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mid_size_rank_space_agrees(self, monkeypatch, seed):
+        monkeypatch.setattr(rank_greedy, "RANK_SPACE", 1000)
+        graph = by_name("gnp", 30, seed=seed)
+        generator, vectorized, metered = _run_three_ways(
+            rank_greedy.rank_greedy_protocol, graph, seed)
+        assert _summarize(vectorized) == _summarize(generator)
+        assert _summarize(vectorized)[:-1] == _summarize(metered)[:-1]
+
+    def test_tiny_rank_space_livelocks_identically(self, monkeypatch):
+        monkeypatch.setattr(rank_greedy, "RANK_SPACE", 3)
+        inputs = {"max_iterations": 50}
+        livelocked = 0
+        for seed in range(30):
+            graph = by_name("gnp", 30, seed=seed)
+            outcomes = [
+                _outcome(rank_greedy.rank_greedy_protocol, graph, seed,
+                         inputs, **engine)
+                for engine in ({"vectorized": False}, {"vectorized": True},
+                               {"message_bit_limit": 100_000})]
+            assert outcomes[1] == outcomes[0]
+            assert outcomes[2] == outcomes[0]
+            livelocked += outcomes[0] == (
+                "rank-greedy did not terminate within 50 iterations")
+        assert livelocked > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -187,8 +242,9 @@ class CountingRandom(random.Random):
 
 
 class TestRngConsumption:
-    def test_engines_consume_identical_draws_per_node(self, monkeypatch):
-        """Both engines must draw the same number of priorities from the
+    def test_engines_consume_identical_draws_per_node(self, monkeypatch,
+                                                      vectorized_protocol):
+        """Both engines must draw the same number of keys from the
         same per-node streams — the property that makes them bit-identical
         and keeps future protocol changes honest about RNG discipline."""
         import repro.sim.runner as runner_module
@@ -202,7 +258,7 @@ class TestRngConsumption:
             runner_module, "spawn_rng",
             lambda seed, index: CountingRandom(
                 derive_seed(seed, index), generator_counts, index))
-        run_protocol(graph, luby_protocol, inputs=INPUTS, seed=master,
+        run_protocol(graph, vectorized_protocol, inputs=INPUTS, seed=master,
                      vectorized=False)
 
         vectorized_counts = [0] * 32
@@ -211,7 +267,7 @@ class TestRngConsumption:
             lambda seed, count: [
                 CountingRandom(derive_seed(seed, i), vectorized_counts, i)
                 for i in range(count)])
-        run_protocol(graph, luby_protocol, inputs=INPUTS, seed=master,
+        run_protocol(graph, vectorized_protocol, inputs=INPUTS, seed=master,
                      vectorized=True)
 
         assert sum(generator_counts) > 0
@@ -255,27 +311,39 @@ class TestRowPrimitives:
 # Safety valves: identical messages across engines
 # --------------------------------------------------------------------------- #
 class TestSafetyValves:
-    def _messages(self, graph, **simulator_kwargs):
+    def _messages(self, protocol, graph, **simulator_kwargs):
         errors = {}
         for name, pinned in (("generator", False), ("vectorized", True)):
             simulator = Simulator(build_network(graph), seed=1,
                                   vectorized=pinned, **simulator_kwargs)
             with pytest.raises(SimulationError) as excinfo:
-                simulator.run(luby_protocol, inputs=INPUTS)
+                simulator.run(protocol, inputs=INPUTS)
             errors[name] = str(excinfo.value)
         return errors
 
-    def test_livelock_valve_messages_match(self):
-        errors = self._messages(by_name("gnp", 24, seed=3),
+    def test_livelock_valve_messages_match(self, vectorized_protocol):
+        errors = self._messages(vectorized_protocol,
+                                by_name("gnp", 24, seed=3),
                                 max_active_rounds=1)
         assert errors["vectorized"] == errors["generator"]
         assert "livelocked" in errors["vectorized"]
 
-    def test_awake_budget_valve_messages_match(self):
-        errors = self._messages(by_name("gnp", 24, seed=3),
+    def test_awake_budget_valve_messages_match(self, vectorized_protocol):
+        errors = self._messages(vectorized_protocol,
+                                by_name("gnp", 24, seed=3),
                                 max_awake_per_node=1)
         assert errors["vectorized"] == errors["generator"]
         assert "exceeded 1 awake rounds" in errors["vectorized"]
+
+    def test_deciding_in_the_last_iteration_is_not_exhaustion(
+            self, vectorized_protocol):
+        """Every node decides in iteration 1 on an edgeless graph, so a
+        one-iteration cap must not raise on either engine."""
+        graph = empty_graph(6)
+        generator, vectorized, _ = _run_three_ways(
+            vectorized_protocol, graph, seed=2,
+            inputs={"max_iterations": 1})
+        assert _summarize(vectorized) == _summarize(generator)
 
     def test_missing_outputs_message_matches_the_loops(self):
         state = VectorizedRun(build_network(by_name("path", 3)), seed=0,
