@@ -4,7 +4,10 @@ All randomness flows through seeded :class:`random.Random` instances handed
 down from the sweep plan (``repro.rng``).  Module-level ``random.*`` calls
 and unseeded ``Random()`` constructions create hidden global state that
 breaks byte-identical replay; they are only legitimate inside ``rng.py``
-itself, which implements the ``None``-seed escape hatch.
+itself, which implements the ``None``-seed escape hatch.  The same holds for
+numpy: the legacy module-level ``numpy.random.*`` functions share one
+global generator, and a generator or bit generator built with no seed is
+OS-seeded.
 
 Separately, task-execution modules (worker, transports, backends,
 schedulers) must never *derive* seeds: seeds are fixed at plan time in
@@ -50,14 +53,57 @@ _MODULE_FUNCS = frozenset(
     }
 )
 
+#: numpy.random constructors that are OS-seeded when called without a seed.
+_NUMPY_CONSTRUCTORS = frozenset(
+    {
+        "default_rng",
+        "RandomState",
+        "SeedSequence",
+        "MT19937",
+        "PCG64",
+        "PCG64DXSM",
+        "Philox",
+        "SFC64",
+    }
+)
+
+#: Legacy numpy.random functions that consume the hidden global RandomState.
+_NUMPY_MODULE_FUNCS = frozenset(
+    {
+        "rand",
+        "randn",
+        "random",
+        "random_sample",
+        "ranf",
+        "sample",
+        "randint",
+        "random_integers",
+        "bytes",
+        "choice",
+        "shuffle",
+        "permutation",
+        "uniform",
+        "normal",
+        "standard_normal",
+        "exponential",
+        "binomial",
+        "poisson",
+        "geometric",
+        "beta",
+        "gamma",
+        "seed",
+        "set_state",
+    }
+)
+
 
 @register
 class RngDiscipline(Rule):
     code = "RPL001"
     name = "rng-discipline"
     summary = (
-        "no module-level random.* calls or unseeded Random() outside rng.py; "
-        "execution modules never derive seeds"
+        "no module-level random.*/numpy.random.* calls or unseeded generators "
+        "outside rng.py; execution modules never derive seeds"
     )
     default_exclude: ClassVar = ["src/repro/rng.py"]
     default_options: ClassVar = {
@@ -90,7 +136,24 @@ class RngDiscipline(Rule):
             resolved = resolved_call_name(node, ctx.imports)
             if resolved is None:
                 continue
-            if resolved.startswith("random.") and resolved.split(".", 1)[1] in _MODULE_FUNCS:
+            module, _, func = resolved.rpartition(".")
+            if module == "numpy.random" and func in _NUMPY_MODULE_FUNCS:
+                yield self.diagnostic(
+                    ctx,
+                    node,
+                    f"call to the legacy `{resolved}()` uses numpy's global "
+                    "generator; build a seeded generator in repro.rng instead",
+                )
+            elif module == "numpy.random" and func in _NUMPY_CONSTRUCTORS and not (
+                node.args or node.keywords
+            ):
+                yield self.diagnostic(
+                    ctx,
+                    node,
+                    f"unseeded `{resolved}()` is OS-seeded and irreproducible; "
+                    "pass an explicit seed or build it in repro.rng",
+                )
+            elif module == "random" and func in _MODULE_FUNCS:
                 yield self.diagnostic(
                     ctx,
                     node,

@@ -1,8 +1,10 @@
 """Workload graph generators.
 
 All generators return a simple undirected :class:`networkx.Graph` whose nodes
-are relabelled ``0 .. n-1`` and are fully determined by their ``seed``
-argument.  The families cover the settings the paper's introduction and
+are labelled ``0 .. n-1`` and are fully determined by their ``seed``
+argument.  Most wrap a networkx builder; ``gnp_graph`` samples in numpy
+but replays ``nx.gnp_random_graph``'s random stream, so its graphs are
+identical to the networkx builder's, edge order included.  The families cover the settings the paper's introduction and
 related-work sections discuss: general graphs (Erdős–Rényi), battery-powered
 wireless / sensor networks (random geometric graphs), bounded-degree and
 regular topologies, trees, and a few adversarial shapes used in tests.
@@ -14,9 +16,13 @@ import math
 from typing import Optional
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import UnknownFamilyError
-from repro.rng import SeedLike, make_rng
+from repro.rng import SeedLike, make_rng, python_mt19937
+
+#: Pairs drawn per numpy call in :func:`gnp_graph`; bounds its peak memory.
+GNP_CHUNK_PAIRS = 1 << 16
 
 
 def _normalize(graph: nx.Graph) -> nx.Graph:
@@ -93,9 +99,25 @@ def gnp_graph(n: int, p: Optional[float] = None, seed: SeedLike = None,
         raise ValueError("provide exactly one of p / expected_degree")
     if p is None:
         p = min(1.0, expected_degree / max(1, n - 1))
-    rng = make_rng(seed)
-    graph = nx.gnp_random_graph(n, p, seed=rng.randrange(2**31))
-    return _normalize(graph)
+    graph_seed = make_rng(seed).randrange(2**31)
+    if n < 2 or p <= 0 or p >= 1:  # draws nothing
+        return nx.gnp_random_graph(n, p, seed=graph_seed)
+    # nx.gnp_random_graph tests ``random() < p`` once per pair in
+    # combinations order; replay that exact stream in numpy, in chunks.
+    draws = python_mt19937(graph_seed)
+    rows = np.arange(n - 1, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    pairs = n * (n - 1) // 2
+    sources, targets = [], []
+    for base in range(0, pairs, GNP_CHUNK_PAIRS):
+        size = min(GNP_CHUNK_PAIRS, pairs - base)
+        pair = base + np.flatnonzero(draws.random(size) < p)
+        row = np.searchsorted(row_start, pair, side="right") - 1
+        sources.extend(row.tolist())
+        targets.extend((pair - row_start[row] + row + 1).tolist())
+    graph = nx.empty_graph(n)
+    graph.add_edges_from(zip(sources, targets))
+    return graph
 
 
 def random_geometric(n: int, radius: Optional[float] = None,
@@ -109,9 +131,10 @@ def random_geometric(n: int, radius: Optional[float] = None,
     """
     if radius is None:
         radius = math.sqrt(expected_degree / (math.pi * max(1, n - 1)))
+    if n <= 0:
+        return empty_graph(0)
     rng = make_rng(seed)
-    graph = nx.random_geometric_graph(n, radius, seed=rng.randrange(2**31))
-    return _normalize(graph)
+    return nx.random_geometric_graph(n, radius, seed=rng.randrange(2**31))
 
 
 def random_regular(n: int, degree: int, seed: SeedLike = None) -> nx.Graph:
@@ -195,9 +218,9 @@ def build_csr(name: str, n: int, seed: SeedLike = None):
     """Generate family *name* and return it as CSR arrays directly.
 
     This is what the worker's shared-memory graph cache serialises: the
-    generators above stay networkx-based (they lean on ``nx`` builders),
-    but everything downstream of the cache only ever sees the flat
-    arrays.
+    generators above return networkx graphs (gnp's is sampled in numpy,
+    the rest come from ``nx`` builders), but everything downstream of the
+    cache only ever sees the flat arrays.
     """
     return to_csr(by_name(name, n, seed=seed))
 

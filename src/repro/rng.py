@@ -10,7 +10,10 @@ source of randomness (as the SLEEPING-CONGEST model requires).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Set, Union
+from typing import TYPE_CHECKING, List, Optional, Set, Union
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy
 
 SeedLike = Union[int, random.Random, None]
 
@@ -99,6 +102,25 @@ def spawn_rngs(master: SeedLike, count: int) -> List[random.Random]:
         rng.gauss_next = None
         append(rng)
     return rngs
+
+
+def python_mt19937(seed: int) -> "numpy.random.Generator":
+    """Return a numpy generator that replays ``random.Random(seed)``'s stream.
+
+    Both are MT19937 and CPython seeds through ``init_by_array``, so loading
+    the stdlib state into numpy's bit generator makes ``integers(0, 2**32,
+    dtype=uint32)`` yield the same words and ``random()`` the same doubles
+    (numpy's ``next_double`` is CPython's ``genrand_res53``).
+    """
+    import numpy as np
+
+    *key, pos = random.Random(seed).getstate()[1]
+    bit_generator = np.random.MT19937()
+    bit_generator.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(key, dtype=np.uint32), "pos": pos},
+    }
+    return np.random.Generator(bit_generator)
 
 
 def random_unique_ids(

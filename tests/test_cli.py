@@ -279,6 +279,13 @@ class TestCLIFamilyErrors:
         assert "known:" in err and "gnp" in err
         assert '"unknown graph family' not in err  # no KeyError repr-quoting
 
+    @pytest.mark.parametrize("family", ["gnp", "rgg"])
+    def test_run_on_zero_nodes_renders_cleanly(self, family, capsys):
+        assert main(["run", "--family", family, "--n", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot run an MIS algorithm on an empty graph" in err
+        assert "Traceback" not in err
+
     def test_sweep_unknown_family_renders_cleanly(self, capsys):
         assert main(["sweep", "--algorithms", "luby", "--sizes", "16",
                      "--families", "nope", "--repetitions", "1"]) == 2

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import pytest
 
 from repro.graphs import generators, properties
+from repro.rng import make_rng
 
 
 class TestGenerators:
@@ -117,6 +120,72 @@ class TestGenerators:
     def test_caveman(self):
         graph = generators.caveman(4, 5, seed=8)
         assert graph.number_of_nodes() == 20
+
+
+def _layout(graph):
+    """Everything a consumer can observe of a graph, in iteration order."""
+    return (list(graph.nodes(data=True)), graph.graph,
+            [(node, list(graph.adj[node].items())) for node in graph])
+
+
+def _graph_seed(seed):
+    return make_rng(seed).randrange(2**31)
+
+
+def _gnp_densities(n):
+    degree_scale = max(1, n - 1)
+    sparse = [0, 1e-9, 8 / degree_scale, 32 / degree_scale]
+    # Dense graphs at n=1500 hold ~10^6 edges: slow to build and compare.
+    return sparse if n > 300 else sparse + [0.5, 1 - 2**-30, 1]
+
+
+class TestNetworkxIdentity:
+    """gnp and rgg return exactly what the networkx builders return.
+
+    ``gnp_graph`` samples in numpy and neither generator relabels its
+    output, so both are pinned against ``_normalize`` applied to the
+    networkx builder on the same derived seed: node order, node data,
+    graph attributes and every node's adjacency order.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64, 300, 1500])
+    def test_gnp_matches_networkx(self, n, seed):
+        for p in _gnp_densities(n):
+            expected = generators._normalize(
+                nx.gnp_random_graph(n, p, seed=_graph_seed(seed)))
+            assert _layout(generators.gnp_graph(n, p=p, seed=seed)) == \
+                _layout(expected), (n, p, seed)
+
+    @pytest.mark.parametrize("p", [2 / 63, 32 / 63, 1 - 2**-30])
+    def test_gnp_matches_networkx_across_chunk_boundaries(self, monkeypatch,
+                                                          p):
+        monkeypatch.setattr(generators, "GNP_CHUNK_PAIRS", 7)
+        expected = generators._normalize(
+            nx.gnp_random_graph(64, p, seed=_graph_seed(3)))
+        assert _layout(generators.gnp_graph(64, p=p, seed=3)) == \
+            _layout(expected)
+
+    def test_gnp_expected_degree_matches_networkx(self):
+        expected = generators._normalize(
+            nx.gnp_random_graph(400, 8 / 399, seed=_graph_seed(9)))
+        graph = generators.gnp_graph(400, expected_degree=8.0, seed=9)
+        assert _layout(graph) == _layout(expected)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 17, 300, 1500])
+    def test_random_geometric_matches_networkx(self, n, seed):
+        radius = math.sqrt(8.0 / (math.pi * max(1, n - 1)))
+        expected = generators._normalize(
+            nx.random_geometric_graph(n, radius, seed=_graph_seed(seed)))
+        graph = generators.random_geometric(n, seed=seed)
+        assert _layout(graph) == _layout(expected)
+        assert all("pos" in data for _, data in graph.nodes(data=True))
+
+    def test_random_geometric_zero_nodes_is_empty(self):
+        graph = generators.random_geometric(0, seed=1)
+        assert isinstance(graph, nx.Graph)
+        assert graph.number_of_nodes() == 0
 
 
 class TestProperties:

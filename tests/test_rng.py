@@ -91,3 +91,24 @@ class TestRandomUniqueIds:
     def test_impossible_request_rejected(self):
         with pytest.raises(ValueError):
             rng_module.random_unique_ids(11, 10)
+
+
+class TestPythonMT19937:
+    """The numpy bridge replays ``random.Random(seed)`` word for word."""
+
+    # 2**40 + 3 needs two 32-bit words, exercising init_by_array's key loop.
+    @pytest.mark.parametrize("seed", [0, 5, 2**31 - 1, 2**40 + 3])
+    def test_random_draws_match_stdlib(self, seed):
+        reference = random.Random(seed)
+        draws = rng_module.python_mt19937(seed).random(10_000).tolist()
+        assert draws == [reference.random() for _ in range(10_000)]
+
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3])
+    def test_uint32_words_match_getrandbits(self, seed):
+        import numpy as np
+
+        reference = random.Random(seed)
+        words = rng_module.python_mt19937(seed).integers(
+            0, 2**32, size=1000, dtype=np.uint32)
+        assert words.tolist() == [reference.getrandbits(32)
+                                  for _ in range(1000)]
