@@ -12,28 +12,24 @@ Sub-commands
     they run (serial/process/socket); because the sweep executor
     derives every task seed up front, the printed rows and fits are
     identical for every ``--jobs``/``--backend`` combination.  ``--output
-    FILE`` persists every result to a JSONL store as it completes
-    (``--shards N`` splits it into N shard files); ``--resume`` continues
-    an interrupted sweep from that store without re-running recorded tasks.
+    FILE`` persists every result to a JSONL store as it completes;
+    ``--resume`` continues an interrupted sweep from that store without
+    re-running recorded tasks.
 ``experiment``
     Regenerate one of the paper experiments E1–E9 (see DESIGN.md §3).
     ``--jobs``/``--backend`` parallelise the sweep-backed experiments
-    E1–E5 and E9 the same way; ``--output``/``--shards``/``--resume`` give
-    them the resumable store; E6–E8 ignore all of them.
+    E1–E5 and E9 the same way; ``--output``/``--resume`` give them the
+    resumable store; E6–E8 ignore all of them.
 ``report``
     Rebuild the sweep table and growth-law fits from a JSONL store written
     by ``sweep``/``experiment --output``, without re-running anything.
-    Accepts single-file and sharded stores; ``--csv FILE`` additionally
-    exports the rows for notebook-side analysis.
+    ``--csv FILE`` additionally exports the rows for notebook-side analysis.
 ``figure``
     Print the paper's Figure 1/2 worked example.
 ``worker serve``
     Serve sweep tasks over TCP (``--listen HOST:PORT``) for the socket
     backend: run one per host (``--slots N`` for N cores), point a sweep
     at them with ``--workers host:port*N,...``.
-``store merge``
-    Compact one or more stores of the same sweep (sharded or not) into a
-    single fresh store file.
 ``list``
     List available algorithms, graph families, backends, schedulers and
     experiments.
@@ -51,12 +47,15 @@ from repro.experiments.backends import (available_backends,
                                         available_schedulers, make_backend)
 from repro.experiments.harness import available_algorithms, run_mis
 from repro.experiments.registry import available_experiments, run_experiment
-from repro.experiments.store import (load_sweep_result, merge_stores,
-                                     open_store)
+from repro.experiments.store import ResultStore, load_sweep_result
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.tables import (format_table, format_telemetry,
                                       render_sweep)
 from repro.graphs.generators import FAMILIES, by_name
+
+#: Above this many nodes ``run --algorithm ldt_mis`` warns that it is slow:
+#: a standalone run's simulation time grows as ~n^2 (DESIGN.md §2.4).
+_LDT_MIS_SLOW_N = 1000
 
 #: Shared --help epilog for the store-aware subcommands.
 _STORE_EPILOG = (
@@ -65,13 +64,8 @@ _STORE_EPILOG = (
     "run loses at most the line being written.  Re-running with --resume "
     "replays recorded tasks from the store instead of executing them; the "
     "final table and fits are byte-identical to an uninterrupted run.  "
-    "--resume requires --output, and a store holds exactly one sweep "
-    "configuration.  --shards N splits the store into N JSONL shard files "
-    "(FILE.shard-0 ... FILE.shard-N-1, or shard-K.jsonl inside FILE when "
-    "it is a directory) with the same per-shard durability; reads merge "
-    "every shard, so --resume and 'repro-mis report' accept the base path "
-    "under any shard count; compact shards later with 'repro-mis store "
-    "merge'.  "
+    "--resume requires --output, and a store is one JSONL file holding "
+    "exactly one sweep configuration (a directory path is an error).  "
     "Execution: --backend picks where tasks run — serial (in this "
     "process), process (a local process pool of --jobs workers) or "
     "socket (TCP workers named by --workers); without --backend, "
@@ -219,11 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--output", metavar="FILE", default=None,
                               help="JSONL results store: persist every task "
                                    "result as it completes")
-    sweep_parser.add_argument("--shards", type=int, default=None,
-                              metavar="N",
-                              help="split --output into N JSONL shard files "
-                                   "(one append stream per shard; reads "
-                                   "merge all shards)")
     sweep_parser.add_argument("--resume", action="store_true",
                               help="skip tasks already recorded in --output "
                                    "and replay their stored metrics")
@@ -243,10 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("--output", metavar="FILE", default=None,
                                    help="JSONL results store for the "
                                         "sweep-backed experiments")
-    experiment_parser.add_argument("--shards", type=int, default=None,
-                                   metavar="N",
-                                   help="split --output into N JSONL shard "
-                                        "files")
     experiment_parser.add_argument("--resume", action="store_true",
                                    help="skip tasks already recorded in "
                                         "--output")
@@ -257,16 +242,12 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="The store must have been written by 'repro-mis sweep "
                "--output' or 'repro-mis experiment --output'; a complete "
                "store reproduces the original run's table byte-for-byte.  "
-               "FILE may be a single-file store, the base path of a "
-               "sharded store (FILE.shard-K siblings), or a shard "
-               "directory — shards are merged automatically.  --csv OUT "
+               "FILE is the one JSONL file that --output wrote.  --csv OUT "
                "additionally writes the table rows as CSV ('-' = stdout) "
                "for notebook-side analysis.",
     )
     report_parser.add_argument("store", metavar="FILE",
-                               help="JSONL results store to read (single "
-                                    "file, sharded base path, or shard "
-                                    "directory)")
+                               help="JSONL results store file to read")
     report_parser.add_argument("--metric", default="awake_max",
                                help="metric for the growth-law fits "
                                     "(default: awake_max)")
@@ -337,51 +318,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "at least one task (default: serve "
                                    "forever)")
 
-    store_parser = sub.add_parser(
-        "store", help="maintenance tooling for results stores")
-    store_sub = store_parser.add_subparsers(dest="store_command")
-    merge_parser = store_sub.add_parser(
-        "merge",
-        help="compact stores of one sweep into a single fresh store file",
-        epilog="Sources may be any mix of single-file stores, sharded "
-               "base paths and shard directories; they must all belong "
-               "to the same sweep configuration (mixed grids are "
-               "refused).  Records are rewritten in planned-grid order "
-               "with duplicates collapsed, so reporting or resuming from "
-               "the merged store is byte-identical to using the sources. "
-               "The sources are left untouched; delete them yourself "
-               "once satisfied.",
-    )
-    merge_parser.add_argument("sources", metavar="SRC", nargs="+",
-                              help="stores to merge (single files, "
-                                   "sharded base paths or shard "
-                                   "directories)")
-    merge_parser.add_argument("--output", metavar="OUT", required=True,
-                              help="fresh single-file store to write "
-                                   "(must not already hold data)")
-
     sub.add_parser("figure", help="print the Figure 1/2 worked example")
     sub.add_parser("list", help="list algorithms, families and experiments")
     return parser
 
 
-def _open_store(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    """Build the results store for --output/--shards/--resume (or None).
-
-    ``--shards N`` selects a sharded store explicitly; without it the path
-    is sniffed, so resuming a store that was written sharded keeps working
-    without repeating the flag.
-    """
-    if getattr(args, "resume", False) and not getattr(args, "output", None):
+def _store_from_args(parser: argparse.ArgumentParser,
+                     args: argparse.Namespace) -> Optional[ResultStore]:
+    """Build the results store for --output/--resume (or None)."""
+    if args.resume and not args.output:
         parser.error("--resume requires --output (the store to resume from)")
-    shards = getattr(args, "shards", None)
-    if shards is not None and shards < 1:
-        parser.error("--shards must be >= 1 (the number of shard files)")
-    if shards is not None and not getattr(args, "output", None):
-        parser.error("--shards requires --output (the store to shard)")
-    if getattr(args, "output", None):
-        return open_store(args.output, shards=shards)
-    return None
+    return ResultStore(args.output) if args.output else None
 
 
 def _compose_backend(args: argparse.Namespace):
@@ -454,6 +401,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--jobs must be >= 0 (1 = in-process, 0 = one per CPU)")
 
     if args.command == "run":
+        if args.algorithm == "ldt_mis" and args.n > _LDT_MIS_SLOW_N:
+            print(f"note: standalone ldt_mis simulation time grows as ~n^2 "
+                  f"(DESIGN.md §2.4); n={args.n} will take a while",
+                  file=sys.stderr, flush=True)
         try:
             graph = by_name(args.family, args.n, seed=args.seed)
             result = run_mis(graph, algorithm=args.algorithm, seed=args.seed)
@@ -467,10 +418,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "sweep":
         try:
             backend = _compose_backend(args)
+            store = _store_from_args(parser, args)
         except ConfigurationError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        store = _open_store(parser, args)
         try:
             sweep = run_sweep(
                 algorithms=args.algorithms,
@@ -499,10 +450,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "experiment":
         try:
             backend = _compose_backend(args)
+            store = _store_from_args(parser, args)
         except ConfigurationError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        store = _open_store(parser, args)
         try:
             report = run_experiment(args.experiment_id, scale=args.scale,
                                     seed=args.seed, jobs=args.jobs,
@@ -535,20 +486,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ConfigurationError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-
-    if args.command == "store":
-        if args.store_command != "merge":
-            print("usage: repro-mis store merge SRC [SRC ...] --output OUT",
-                  file=sys.stderr)
-            return 2
-        try:
-            written = merge_stores(args.sources, args.output)
-        except ConfigurationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(f"merged {len(args.sources)} store(s) into {args.output} "
-              f"({written} result records)")
-        return 0
 
     if args.command == "report":
         try:

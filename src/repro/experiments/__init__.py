@@ -1,6 +1,6 @@
 """Experiment harness: single runs, streaming sweeps over pluggable
-execution backends, the (optionally sharded) JSONL results store, tables,
-and the E1–E9 registry."""
+execution backends, the single-file JSONL results store, tables, and the
+E1–E9 registry."""
 
 from repro.experiments.backends import (
     BACKENDS,
@@ -26,10 +26,7 @@ from repro.experiments.harness import (
 from repro.experiments.store import (
     CODE_SCHEMA_VERSION,
     ResultStore,
-    ShardedResultStore,
-    discover_shards,
     load_sweep_result,
-    open_store,
     task_key,
 )
 
@@ -40,16 +37,13 @@ __all__ = [
     "ComposedBackend",
     "MISRunResult",
     "ResultStore",
-    "ShardedResultStore",
     "SweepTask",
     "available_algorithms",
     "available_backends",
     "default_message_bit_limit",
-    "discover_shards",
     "iter_indexed_results",
     "load_sweep_result",
     "make_backend",
-    "open_store",
     "plan_sweep_tasks",
     "resolve_backend",
     "resolve_jobs",

@@ -129,9 +129,9 @@ def plan_sweep_tasks(
     Nothing downstream touches the master RNG, which is what makes parallel
     execution bit-identical to serial execution.
 
-    Families and algorithms are validated eagerly: a typo must fail here,
-    before a sweep touches its results store — a header stamped for an
-    unrunnable grid would poison the store file.
+    Families, sizes and algorithms are validated eagerly: a typo must
+    fail here, before a sweep touches its results store — a header
+    stamped for an unrunnable grid would poison the store file.
     """
     from repro.experiments.harness import available_algorithms
     from repro.graphs.generators import FAMILIES
@@ -141,6 +141,9 @@ def plan_sweep_tasks(
             raise UnknownFamilyError(
                 f"unknown graph family '{family}'; known: {sorted(FAMILIES)}"
             )
+    for n in sizes:
+        if n < 0:
+            raise ConfigurationError(f"invalid size n={n}: sizes must be >= 0")
     for algorithm in algorithms:
         if algorithm not in available_algorithms():
             raise ConfigurationError(

@@ -18,7 +18,7 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 
-from repro.errors import UnknownFamilyError
+from repro.errors import ConfigurationError, UnknownFamilyError
 from repro.rng import SeedLike, make_rng, python_mt19937
 
 #: Pairs drawn per numpy call in :func:`gnp_graph`; bounds its peak memory.
@@ -231,10 +231,17 @@ def by_name(name: str, n: int, seed: SeedLike = None) -> nx.Graph:
     Raises :class:`repro.errors.UnknownFamilyError` (a
     :class:`ConfigurationError` that is also a :class:`KeyError`) for an
     unregistered name, so the CLI renders the message cleanly instead of
-    printing a repr-quoted ``KeyError``.
+    printing a repr-quoted ``KeyError``.  A size the networkx builder
+    rejects (a negative *n*, or ``regular``'s degree 6 not below *n*)
+    raises :class:`ConfigurationError` naming the family and *n*.
     """
     if name not in FAMILIES:
         raise UnknownFamilyError(
             f"unknown graph family '{name}'; known: {sorted(FAMILIES)}"
         )
-    return FAMILIES[name](n, seed=seed)
+    try:
+        return FAMILIES[name](n, seed=seed)
+    except nx.NetworkXError as error:
+        raise ConfigurationError(
+            f"cannot build graph family '{name}' with n={n}: {error}"
+        ) from error

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from typing import ClassVar, List
 
 import pytest
@@ -56,6 +57,26 @@ class TestCLI:
     def test_experiment_accepts_jobs(self, capsys):
         assert main(["experiment", "E8", "--jobs", "2"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, warned", [(1000, False), (1001, True),
+                                           (5000, True)])
+    def test_large_ldt_mis_run_warns_on_stderr_only(self, monkeypatch,
+                                                    capsys, n, warned):
+        # Stub generation and the run: tier-1 never simulates a large LDT.
+        import repro.cli as cli
+
+        from repro.experiments.harness import run_mis
+        from repro.graphs.generators import path_graph
+
+        result = run_mis(path_graph(8), algorithm="ldt_mis", seed=1)
+        monkeypatch.setattr(cli, "by_name", lambda *a, **k: path_graph(8))
+        monkeypatch.setattr(cli, "run_mis", lambda *a, **k: result)
+        assert main(["run", "--algorithm", "ldt_mis", "--n", str(n)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli.format_table(
+            [result.summary()], title=f"ldt_mis on gnp(n={n})") + "\n"
+        assert ("DESIGN.md §2.4" in captured.err) == warned
+        assert captured.err.count("\n") == int(warned)
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 0
@@ -257,10 +278,6 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "required" in err and "--listen" in err
 
-    def test_store_without_subcommand_prints_usage(self, capsys):
-        assert main(["store"]) == 2
-        assert "store merge" in capsys.readouterr().err
-
     def test_worker_serve_bad_listen_address_renders_error(self, capsys):
         assert main(["worker", "serve", "--listen", "nonsense"]) == 2
         assert "invalid listen address" in capsys.readouterr().err
@@ -302,6 +319,33 @@ class TestCLIFamilyErrors:
                     + extra) == 2
         err = capsys.readouterr().err
         assert "error: unknown graph family 'nope'" in err
+
+    def test_run_invalid_size_renders_cleanly(self, capsys):
+        assert main(["run", "--family", "gnp", "--n", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot build graph family 'gnp' with n=-3" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [[], ["--jobs", "2"]])
+    def test_sweep_size_the_family_rejects_renders_cleanly(self, extra,
+                                                           capsys):
+        # regular's degree 6 needs n > 6: networkx refuses n=5.
+        assert main(["sweep", "--algorithms", "luby", "--sizes", "5",
+                     "--families", "regular", "--repetitions", "1"]
+                    + extra) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot build graph family 'regular' with n=5" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [[], ["--jobs", "2"]])
+    def test_negative_size_fails_before_touching_the_store(self, extra,
+                                                           tmp_path, capsys):
+        path = tmp_path / "out.jsonl"
+        assert main(["sweep", "--algorithms", "luby", "--sizes", "16", "-4",
+                     "--repetitions", "1", "--output", str(path)]
+                    + extra) == 2
+        assert "error: invalid size n=-4" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_unknown_family_fails_before_touching_the_store(self, tmp_path,
                                                             capsys):
@@ -397,38 +441,49 @@ class TestCLIStore:
             assert main(["report", path, "--metric", column]) == 2
             assert f"unknown metric '{column}'" in capsys.readouterr().err
 
-    def test_sharded_output_resume_report_round_trip(self, tmp_path, capsys):
-        path = str(tmp_path / "out.jsonl")
-        assert main(self.SWEEP) == 0
+    @pytest.mark.parametrize("command", ["sweep", "experiment", "report"])
+    def test_directory_path_is_a_clean_error(self, tmp_path, capsys,
+                                             command):
+        # A store is one file: a directory given to --output or report
+        # is refused with one error line, not an IsADirectoryError.
+        directory = tmp_path / "results"
+        directory.mkdir()
+        argv = {"sweep": [*self.SWEEP, "--output", str(directory)],
+                "experiment": ["experiment", "E1", "--scale", "smoke",
+                               "--output", str(directory)],
+                "report": ["report", str(directory)]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is a directory" in err
+        assert err.count("\n") == 1
+        assert list(directory.iterdir()) == []
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_store_from_earlier_version_resumes_and_reports(
+            self, tmp_path, capsys, torn):
+        # tests/data/store_schema1.jsonl was written by an earlier version
+        # of this code; see tests/test_store.py::LEGACY_STORE.
+        import pathlib
+
+        legacy = (pathlib.Path(__file__).parent / "data"
+                  / "store_schema1.jsonl").read_bytes()
+        if torn:
+            legacy = legacy[:-40]
+        path = tmp_path / "legacy.jsonl"
+        path.write_bytes(legacy)
+        sweep = ["sweep", "--algorithms", "luby", "vt_mis", "--sizes", "16",
+                 "24", "--families", "gnp", "--repetitions", "2",
+                 "--seed", "3"]
+        assert main(sweep) == 0
         plain_out = capsys.readouterr().out
-
-        assert main([*self.SWEEP, "--output", path, "--shards", "2"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the torn tail is repaired
+            assert main([*sweep, "--output", str(path), "--resume"]) == 0
         assert capsys.readouterr().out == plain_out
-        assert (tmp_path / "out.jsonl.shard-0").exists()
-        assert (tmp_path / "out.jsonl.shard-1").exists()
-        assert not (tmp_path / "out.jsonl").exists()
-
-        # --resume sniffs the sharded layout without repeating --shards.
-        assert main([*self.SWEEP, "--output", path, "--resume"]) == 0
-        assert capsys.readouterr().out == plain_out
-
-        # report merges the shards from the base path.
-        assert main(["report", path]) == 0
+        assert main(["report", str(path)]) == 0
         report_out = capsys.readouterr().out
-        for line in plain_out.splitlines():
-            if "luby" in line:
-                assert line in report_out
-
-    def test_shards_require_output(self, capsys):
-        with pytest.raises(SystemExit):
-            main([*self.SWEEP, "--shards", "2"])
-        assert "--shards requires --output" in capsys.readouterr().err
-
-    def test_invalid_shard_count_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main([*self.SWEEP, "--output", str(tmp_path / "o.jsonl"),
-                               "--shards", "0"])
-        assert "--shards must be >= 1" in capsys.readouterr().err
+        # Only the title line differs between a sweep and its report.
+        assert report_out.split("\n", 1)[1] == plain_out.split("\n", 1)[1]
 
     def test_report_csv_stdout_and_file(self, tmp_path, capsys):
         path = str(tmp_path / "out.jsonl")

@@ -68,6 +68,11 @@ class TestPlanning:
             plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                              families=("nope",), repetitions=1, seed=1)
 
+    def test_negative_size_rejected_at_planning_time(self):
+        with pytest.raises(ConfigurationError, match="invalid size n=-1"):
+            plan_sweep_tasks(algorithms=["luby"], sizes=[16, -1],
+                             repetitions=1, seed=1)
+
     def test_unknown_algorithm_rejected_at_planning_time(self):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
             plan_sweep_tasks(algorithms=["bogus"], sizes=[16],

@@ -26,6 +26,20 @@ class TestGenerators:
         with pytest.raises(KeyError):
             generators.by_name("nope", 10)
 
+    @pytest.mark.parametrize("name, n", [
+        ("gnp", -1), ("gnp_dense", -1), ("path", -1), ("cycle", -1),
+        ("clique", -1), ("regular", 0), ("regular", 5), ("powerlaw", 3),
+    ])
+    def test_size_the_builder_rejects_is_a_configuration_error(self, name,
+                                                               n):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError) as excinfo:
+            generators.by_name(name, n, seed=1)
+        assert str(excinfo.value).startswith(
+            f"cannot build graph family '{name}' with n={n}: ")
+        assert isinstance(excinfo.value.__cause__, nx.NetworkXError)
+
     def test_unknown_family_error_type_and_rendering(self):
         from repro.errors import ConfigurationError, UnknownFamilyError
 

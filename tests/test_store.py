@@ -9,7 +9,9 @@ recorded tasks verifiably never re-executed.
 from __future__ import annotations
 
 import json
+import shutil
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,9 +21,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.executor import plan_sweep_tasks
 from repro.experiments.harness import MISRunResult, run_mis
 from repro.experiments.store import (CODE_SCHEMA_VERSION, ResultStore,
-                                     ShardedResultStore, discover_shards,
-                                     load_sweep_result, merge_stores,
-                                     open_store, task_key)
+                                     load_sweep_result, task_key)
 from repro.experiments.sweeps import MetricAccumulator, run_sweep
 from repro.graphs.generators import by_name
 
@@ -257,160 +257,72 @@ class TestReport:
         assert header["sweep"]["sizes"] == [16, 32]
         assert repr(rebuilt.rows()) == repr(live.rows())
         assert rebuilt.fits("awake_max") == live.fits("awake_max")
+        _, from_store = load_sweep_result(ResultStore(path))
+        assert repr(from_store.rows()) == repr(live.rows())
 
     def test_missing_store_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="results store"):
             load_sweep_result(tmp_path / "nope.jsonl")
 
+    def test_directory_is_not_a_store(self, tmp_path):
+        # A store is one file; a directory must not reach open().
+        with pytest.raises(ConfigurationError, match="is a directory"):
+            ResultStore(tmp_path)
+        with pytest.raises(ConfigurationError, match="is a directory"):
+            load_sweep_result(tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
-class TestShardedStore:
-    def _full_sharded(self, tmp_path, shards=3, jobs=1):
-        base = tmp_path / "out.jsonl"
-        store = ShardedResultStore(base, shards=shards)
-        sweep = run_sweep(**GRID, jobs=jobs, keep_runs=False, store=store)
-        store.close()
-        return base, sweep
 
-    def test_writes_one_shard_file_per_lane(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path, shards=3)
-        paths = discover_shards(base)
-        assert [p.name for p in paths] == ["out.jsonl.shard-0",
-                                           "out.jsonl.shard-1",
-                                           "out.jsonl.shard-2"]
-        # Routing is by grid index, so every shard holds its share and the
-        # merged store holds exactly the grid.
-        assert all(len(ResultStore(p)) > 0 for p in paths)
-        assert len(ShardedResultStore(base)) == GRID_TASKS
+#: A store written by an earlier version of this code with
+#: ``repro-mis sweep --algorithms luby vt_mis --sizes 16 24 --families gnp
+#: --repetitions 2 --seed 3 --output store_schema1.jsonl``.  The current
+#: code must read and resume it as it stands.  A CODE_SCHEMA_VERSION bump
+#: invalidates it by design; rewrite it with that command then.
+LEGACY_STORE = Path(__file__).parent / "data" / "store_schema1.jsonl"
+LEGACY_GRID = dict(algorithms=["luby", "vt_mis"], sizes=[16, 24],
+                   families=("gnp",), repetitions=2, seed=3)
+LEGACY_TASKS = 2 * 2 * 1 * 2
 
-    def test_each_shard_is_a_full_store_with_header(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path)
-        headers = [ResultStore(p).header() for p in discover_shards(base)]
-        assert all(h is not None for h in headers)
-        assert all(h == headers[0] for h in headers)
-        assert headers[0]["schema"] == CODE_SCHEMA_VERSION
 
-    def test_rows_match_single_file_store_byte_for_byte(self, tmp_path):
-        plain = run_sweep(**GRID, keep_runs=False,
-                          store=ResultStore(tmp_path / "plain.jsonl"))
-        _, sharded = self._full_sharded(tmp_path, shards=3)
-        assert repr(sharded.rows()) == repr(plain.rows())
-        assert sharded.fits("awake_max") == plain.fits("awake_max")
+class TestStoreFromEarlierVersion:
+    def test_keys_match_the_current_task_key(self):
+        store = ResultStore(LEGACY_STORE)
+        assert store.header()["schema"] == CODE_SCHEMA_VERSION
+        assert store.completed_keys() == {
+            task_key(task) for task in plan_sweep_tasks(**LEGACY_GRID)}
 
-    def test_directory_layout(self, tmp_path):
-        directory = tmp_path / "results"
-        directory.mkdir()
-        store = ShardedResultStore(directory, shards=2)
-        sweep = run_sweep(**GRID, keep_runs=False, store=store)
-        store.close()
-        assert sorted(p.name for p in directory.iterdir()) == [
-            "shard-0.jsonl", "shard-1.jsonl"]
-        header, rebuilt = load_sweep_result(directory)
-        assert repr(rebuilt.rows()) == repr(sweep.rows())
+    def test_report_rows_match_a_fresh_sweep(self):
+        fresh = run_sweep(**LEGACY_GRID, keep_runs=False)
+        _, rebuilt = load_sweep_result(LEGACY_STORE)
+        assert repr(rebuilt.rows()) == repr(fresh.rows())
+        assert rebuilt.fits("awake_max") == fresh.fits("awake_max")
 
-    def test_load_sweep_result_merges_shards(self, tmp_path):
-        base, sweep = self._full_sharded(tmp_path, shards=3, jobs=4)
-        header, rebuilt = load_sweep_result(base)
-        assert header["sweep"]["sizes"] == [16, 32]
-        assert repr(rebuilt.rows()) == repr(sweep.rows())
-
-    def test_open_store_sniffs_the_layout(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path)
-        assert isinstance(open_store(base), ShardedResultStore)
-        assert isinstance(open_store(tmp_path / "fresh.jsonl"), ResultStore)
-        assert isinstance(open_store(tmp_path / "fresh.jsonl", shards=2),
-                          ShardedResultStore)
-        directory = tmp_path / "somedir"
-        directory.mkdir()
-        assert isinstance(open_store(directory), ShardedResultStore)
-
-    def test_fresh_run_refuses_existing_sharded_store(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path)
-        with pytest.raises(ConfigurationError, match="resume"):
-            run_sweep(**GRID, keep_runs=False,
-                      store=ShardedResultStore(base, shards=3))
-
-    def test_resume_refuses_a_different_grid(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path)
-        other = dict(GRID, seed=100)
-        with pytest.raises(ConfigurationError, match="different sweep"):
-            run_sweep(**other, keep_runs=False,
-                      store=ShardedResultStore(base, shards=3), resume=True)
-
-    def test_disagreeing_shard_headers_refuse_to_merge(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path, shards=2)
-        rogue = tmp_path / "out.jsonl.shard-2"
-        rogue.write_text(json.dumps({"kind": "header",
-                                     "schema": CODE_SCHEMA_VERSION,
-                                     "sweep": {"algorithms": ["other"]}})
-                         + "\n", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="disagrees"):
-            load_sweep_result(base)
-
-    def test_invalid_shard_counts_rejected(self, tmp_path):
-        for bad in (0, -1, True, 2.0):
-            with pytest.raises(ConfigurationError, match="shard count"):
-                ShardedResultStore(tmp_path / "x.jsonl", shards=bad)
-
-    def test_missing_shards_without_count_is_an_error(self, tmp_path):
-        store = ShardedResultStore(tmp_path / "none.jsonl")
-        with pytest.raises(ConfigurationError, match="no shard files"):
-            store.ensure_header({}, resume=False)
-
-    def test_sharding_refuses_an_existing_single_file_store(self, tmp_path):
-        # `--resume --shards N` on a store written unsharded must not
-        # silently ignore its records and re-run the grid.
-        path = tmp_path / "out.jsonl"
-        run_sweep(**GRID, keep_runs=False, store=ResultStore(path))
-        with pytest.raises(ConfigurationError, match="unsharded"):
-            run_sweep(**GRID, keep_runs=False,
-                      store=ShardedResultStore(path, shards=2), resume=True)
-        # The single-file store is untouched and still resumable.
+    def test_resume_replays_every_record_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "legacy.jsonl"
+        shutil.copyfile(LEGACY_STORE, path)
         executed = []
-        run_sweep(**GRID, keep_runs=False, store=ResultStore(path),
-                  resume=True,
-                  progress=lambda task, *rest: executed.append(task))
+        resumed = run_sweep(**LEGACY_GRID, keep_runs=False,
+                            store=ResultStore(path), resume=True,
+                            progress=lambda task, *_: executed.append(task))
         assert executed == []
+        assert path.read_bytes() == LEGACY_STORE.read_bytes()
+        assert repr(resumed.rows()) == repr(
+            run_sweep(**LEGACY_GRID, keep_runs=False).rows())
 
-    @pytest.mark.parametrize("resume_shards", [1, 2, 5])
-    def test_resume_across_a_different_shard_count(self, tmp_path,
-                                                   resume_shards):
-        """The acceptance-criteria invariant: interrupt a sharded sweep,
-        resume it under a *different* shard count (and backend), and the
-        rows/fits must come out byte-identical to the uninterrupted run —
-        with the recorded tasks verifiably never re-executed."""
-        baseline = run_sweep(**GRID)
-        base, _ = self._full_sharded(tmp_path, shards=3)
-
-        # Simulate a kill: tear the tail record of shard 0 and drop the
-        # final record of shard 1 entirely.
-        shard0, shard1, _shard2 = discover_shards(base)
-        lines = _store_lines(shard0)
-        shard0.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2],
-                          encoding="utf-8")
-        lines = _store_lines(shard1)
-        shard1.write_text("".join(lines[:-1]), encoding="utf-8")
-        surviving = {json.loads(line)["key"]
-                     for path in discover_shards(base)
-                     for line in _store_lines(path)
-                     if line.endswith("\n")
-                     and json.loads(line)["kind"] == "result"}
-
+    @pytest.mark.parametrize("kept", range(LEGACY_TASKS))
+    def test_resume_after_a_torn_tail(self, tmp_path, kept):
+        path = tmp_path / "legacy.jsonl"
+        _truncated_copy(LEGACY_STORE, path, keep_results=kept)
         executed = []
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="truncated"):
             resumed = run_sweep(
-                **GRID, jobs=2, backend="process", keep_runs=False,
-                store=ShardedResultStore(base, shards=resume_shards),
+                **LEGACY_GRID, keep_runs=False, store=ResultStore(path),
                 resume=True,
-                progress=lambda task, *rest: executed.append(task))
-        assert len(executed) == GRID_TASKS - len(surviving)
-        assert all(task_key(t) not in surviving for t in executed)
-        assert repr(resumed.rows()) == repr(baseline.rows())
-        assert resumed.fits("awake_max") == baseline.fits("awake_max")
-
-        # The store is complete again and reports byte-identically, under
-        # whichever shard count reads it next.
-        _, rebuilt = load_sweep_result(base)
-        assert repr(rebuilt.rows()) == repr(baseline.rows())
+                progress=lambda task, *_: executed.append(task))
+        assert len(executed) == LEGACY_TASKS - kept
+        assert repr(resumed.rows()) == repr(
+            run_sweep(**LEGACY_GRID, keep_runs=False).rows())
+        assert len(ResultStore(path)) == LEGACY_TASKS
 
 
 # ------------------------------------------------------------------------- #
@@ -429,14 +341,9 @@ def fuzz_reference(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz-ref")
     path = tmp / "ref.jsonl"
     sweep = run_sweep(**FUZZ_GRID, keep_runs=False, store=ResultStore(path))
-    sharded_base = tmp / "sharded.jsonl"
-    store = ShardedResultStore(sharded_base, shards=2)
-    run_sweep(**FUZZ_GRID, keep_runs=False, store=store)
-    store.close()
     return {
         "rows": repr(sweep.rows()),
         "bytes": path.read_bytes(),
-        "shard_bytes": [p.read_bytes() for p in discover_shards(sharded_base)],
         "all_keys": {task_key(t) for t in plan_sweep_tasks(**FUZZ_GRID)},
     }
 
@@ -485,28 +392,6 @@ class TestKillPointFuzz:
         _resume_and_check(ResultStore(path), fuzz_reference,
                           _intact_result_keys(blob[:cut]))
 
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_truncating_any_shard_at_any_offset_resumes_byte_identically(
-            self, data, fuzz_reference, tmp_path):
-        """The same kill-point property holds per shard of a sharded
-        store: the damaged shard self-repairs, the healthy shards keep
-        their records, and the merged resume is byte-identical."""
-        shard_blobs = list(fuzz_reference["shard_bytes"])
-        shard = data.draw(st.integers(0, len(shard_blobs) - 1))
-        cut = data.draw(st.integers(0, len(shard_blobs[shard])))
-        damaged = shard_blobs[shard][:cut]
-        base = tmp_path / f"s{shard}-c{cut}.jsonl"
-        for index, blob in enumerate(shard_blobs):
-            (tmp_path / f"{base.name}.shard-{index}").write_bytes(
-                damaged if index == shard else blob)
-        intact = set()
-        for index, blob in enumerate(shard_blobs):
-            intact |= _intact_result_keys(damaged if index == shard else blob)
-        _resume_and_check(ShardedResultStore(base, shards=len(shard_blobs)),
-                          fuzz_reference, intact)
-
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -528,157 +413,6 @@ class TestKillPointFuzz:
                       resume=True)
         # A refused store is never modified.
         assert path.read_bytes() == before
-
-
-class TestMergeStores:
-    """`repro-mis store merge`: compaction for long-lived stores."""
-
-    def _sweep_to(self, path, shards=None, **overrides):
-        grid = dict(GRID, **overrides)
-        store = open_store(path, shards=shards)
-        result = run_sweep(**grid, store=store, keep_runs=False)
-        store.close()
-        return result
-
-    def test_sharded_store_compacts_to_identical_single_file(self, tmp_path):
-        base = tmp_path / "sharded.jsonl"
-        live = self._sweep_to(base, shards=3)
-        merged = tmp_path / "merged.jsonl"
-        written = merge_stores([base], merged)
-        assert written == GRID_TASKS
-        header, rebuilt = load_sweep_result(merged)
-        assert header == open_store(base).header()
-        assert repr(rebuilt.rows()) == repr(live.rows())
-        assert rebuilt.fits("awake_max") == live.fits("awake_max")
-        # The merged store is a plain single-file store.
-        assert not discover_shards(merged)
-        assert len(ResultStore(merged)) == GRID_TASKS
-
-    @pytest.mark.parametrize("shards", [1, 2, 5])
-    def test_any_shard_count_merges(self, tmp_path, shards):
-        base = tmp_path / "out.jsonl"
-        live = self._sweep_to(base, shards=shards)
-        merged = tmp_path / "merged.jsonl"
-        assert merge_stores([base], merged) == GRID_TASKS
-        _, rebuilt = load_sweep_result(merged)
-        assert repr(rebuilt.rows()) == repr(live.rows())
-
-    def test_merged_store_is_resumable(self, tmp_path):
-        """Resuming from the merged store re-executes nothing."""
-        base = tmp_path / "out.jsonl"
-        self._sweep_to(base, shards=2)
-        merged = tmp_path / "merged.jsonl"
-        merge_stores([base], merged)
-        executed = []
-        resumed = run_sweep(**GRID, store=ResultStore(merged), resume=True,
-                            keep_runs=False,
-                            progress=lambda task, *_: executed.append(task))
-        assert executed == []
-        assert repr(resumed.rows()) == repr(run_sweep(**GRID).rows())
-
-    def test_duplicate_records_across_sources_collapse(self, tmp_path):
-        """Two complete copies of the same sweep merge to one record per
-        task, not two."""
-        first = tmp_path / "a.jsonl"
-        second = tmp_path / "b.jsonl"
-        self._sweep_to(first)
-        self._sweep_to(second)
-        merged = tmp_path / "merged.jsonl"
-        assert merge_stores([first, second], merged) == GRID_TASKS
-        assert len(ResultStore(merged)) == GRID_TASKS
-
-    def test_partial_sources_merge_to_their_union(self, tmp_path):
-        """Single-file + sharded partial stores of one sweep combine."""
-        import itertools
-
-        full = tmp_path / "full.jsonl"
-        live = self._sweep_to(full)
-        # Split the full store's records across two new stores by parity.
-        header_line, *records = full.read_text(encoding="utf-8").splitlines()
-        parts = [tmp_path / "even.jsonl", tmp_path / "odd.jsonl"]
-        for part, keep in zip(parts, (itertools.cycle([True, False]),
-                                      itertools.cycle([False, True]))):
-            kept = [line for line, use in zip(records, keep) if use]
-            part.write_text("\n".join([header_line] + kept) + "\n",
-                            encoding="utf-8")
-        merged = tmp_path / "merged.jsonl"
-        assert merge_stores(parts, merged) == GRID_TASKS
-        _, rebuilt = load_sweep_result(merged)
-        assert repr(rebuilt.rows()) == repr(live.rows())
-
-    def test_mixed_sweep_configs_refused(self, tmp_path):
-        first = tmp_path / "a.jsonl"
-        second = tmp_path / "b.jsonl"
-        self._sweep_to(first)
-        self._sweep_to(second, seed=123)
-        merged = tmp_path / "merged.jsonl"
-        with pytest.raises(ConfigurationError,
-                           match="different sweeps"):
-            merge_stores([first, second], merged)
-        assert not merged.exists()  # no half-written output left behind
-
-    def test_non_store_source_refused(self, tmp_path):
-        bogus = tmp_path / "notes.txt"
-        bogus.write_text("hello\n", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="not a results store"):
-            merge_stores([bogus], tmp_path / "merged.jsonl")
-
-    def test_existing_output_refused(self, tmp_path):
-        source = tmp_path / "a.jsonl"
-        self._sweep_to(source)
-        occupied = tmp_path / "occupied.jsonl"
-        occupied.write_text("precious user data\n", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="refusing to overwrite"):
-            merge_stores([source], occupied)
-        assert occupied.read_text(encoding="utf-8") == "precious user data\n"
-
-    def test_empty_source_list_refused(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="at least one source"):
-            merge_stores([], tmp_path / "merged.jsonl")
-
-    def test_output_at_a_sharded_base_refused(self, tmp_path):
-        """Merging a sharded store onto its own base path would create a
-        single-file/sharded hybrid that open_store refuses to read —
-        the guard must catch it up front."""
-        base = tmp_path / "out.jsonl"
-        self._sweep_to(base, shards=2)
-        with pytest.raises(ConfigurationError, match="sharded store"):
-            merge_stores([base], base)
-        # The shards are untouched and still load.
-        _, rebuilt = load_sweep_result(base)
-        assert sum(cell.run_count for cell in rebuilt.cells) == GRID_TASKS
-
-    def test_cli_merge_round_trip(self, tmp_path, capsys):
-        from repro.cli import main
-
-        base = str(tmp_path / "out.jsonl")
-        sweep_argv = ["sweep", "--algorithms", "luby", "--sizes", "16", "24",
-                      "--families", "gnp", "--repetitions", "1",
-                      "--seed", "3"]
-        assert main([*sweep_argv, "--output", base, "--shards", "2"]) == 0
-        capsys.readouterr()
-        merged = str(tmp_path / "merged.jsonl")
-        assert main(["store", "merge", base, "--output", merged]) == 0
-        assert "merged 1 store(s)" in capsys.readouterr().out
-        assert main(["report", merged]) == 0
-        report_out = capsys.readouterr().out
-        assert main(["report", base]) == 0
-        sharded_report = capsys.readouterr().out.replace(base, merged)
-        assert report_out == sharded_report
-
-    def test_cli_merge_mixed_configs_renders_error(self, tmp_path, capsys):
-        from repro.cli import main
-
-        first = str(tmp_path / "a.jsonl")
-        second = str(tmp_path / "b.jsonl")
-        for seed, path in (("3", first), ("4", second)):
-            assert main(["sweep", "--algorithms", "luby", "--sizes", "16",
-                         "--repetitions", "1", "--seed", seed,
-                         "--output", path]) == 0
-        capsys.readouterr()
-        assert main(["store", "merge", first, second,
-                     "--output", str(tmp_path / "m.jsonl")]) == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestKeepRuns:
