@@ -197,6 +197,9 @@ def awake_mis_protocol(ctx: NodeContext):
     state = UNDECIDED
     comm_rounds = sorted(communication_set(my_batch, batch_count))
     ldt_awake_before = 0
+    # A decided node's state never changes, so its report list is built
+    # once and re-sent in every later communication round.
+    reports = None
 
     for phase in comm_rounds:
         communication_round = (phase - 1) * phase_length
@@ -205,10 +208,9 @@ def awake_mis_protocol(ctx: NodeContext):
             if any(payload == IN_MIS for _, payload in inbox):
                 state = NOT_IN_MIS
         else:
-            yield WakeCall(
-                round=communication_round,
-                sends=[(port, state) for port in ports],
-            )
+            if reports is None:
+                reports = [(port, state) for port in ports]
+            yield WakeCall(round=communication_round, sends=reports)
         if phase == my_batch and state == UNDECIDED:
             state = yield from ldt_mis_core(
                 my_id=my_id,

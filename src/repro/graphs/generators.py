@@ -54,9 +54,13 @@ def complete_graph(n: int) -> nx.Graph:
 
 
 def star_graph(n: int) -> nx.Graph:
-    """Return a star with one hub and ``n - 1`` leaves."""
+    """Return a star with one hub and ``n - 1`` leaves.
+
+    Raises :class:`networkx.NetworkXError` for ``n < 1``, as the networkx
+    builders do for a size they reject.
+    """
     if n < 1:
-        raise ValueError("star graph needs at least 1 node")
+        raise nx.NetworkXError("star graph needs at least 1 node")
     return _normalize(nx.star_graph(n - 1))
 
 
@@ -71,10 +75,14 @@ def grid_graph(rows: int, cols: int) -> nx.Graph:
 
 
 def random_tree(n: int, seed: SeedLike = None) -> nx.Graph:
-    """Return a uniformly random labelled tree on ``n`` nodes."""
+    """Return a uniformly random labelled tree on ``n`` nodes.
+
+    Raises :class:`networkx.NetworkXError` for ``n < 1``, as the networkx
+    builders do for a size they reject.
+    """
     rng = make_rng(seed)
     if n <= 0:
-        raise ValueError("tree needs at least 1 node")
+        raise nx.NetworkXError("tree needs at least 1 node")
     if n <= 2:
         return path_graph(n)
     # Random Prüfer sequence.
@@ -231,9 +239,10 @@ def by_name(name: str, n: int, seed: SeedLike = None) -> nx.Graph:
     Raises :class:`repro.errors.UnknownFamilyError` (a
     :class:`ConfigurationError` that is also a :class:`KeyError`) for an
     unregistered name, so the CLI renders the message cleanly instead of
-    printing a repr-quoted ``KeyError``.  A size the networkx builder
-    rejects (a negative *n*, or ``regular``'s degree 6 not below *n*)
-    raises :class:`ConfigurationError` naming the family and *n*.
+    printing a repr-quoted ``KeyError``.  A size the family's builder
+    rejects (a negative *n*, ``tree`` or ``star`` with no node, or
+    ``regular``'s degree 6 not below *n*) raises
+    :class:`ConfigurationError` naming the family and *n*.
     """
     if name not in FAMILIES:
         raise UnknownFamilyError(

@@ -35,8 +35,10 @@ wall-clock time, never bytes:
    note that :func:`repro.experiments.harness.run_mis` enforces CONGEST
    by default.  Metering is one per-sender step inside the loop
    (:meth:`Simulator._meter`): it estimates each message's size with
-   :func:`~repro.sim.message.estimate_bits`, enforces the bit limit,
-   updates the sender's bit counters and records trace events.  An
+   :func:`~repro.sim.message.estimate_bits` — once per run of the same
+   payload object in the sender's list, so a broadcast is estimated once,
+   not once per port — enforces the bit limit, updates the sender's bit
+   counters and records one trace event per message.  An
    unmetered run skips the step (the aggregate ``max_message_bits`` then
    reads ``None`` — "not measured" — and per-node bit counters stay 0).
 2. The **vectorized engine** (:mod:`repro.sim.vectorized`) computes whole
@@ -81,6 +83,10 @@ from repro.sim.trace import MessageEvent, Trace
 #: A protocol factory: called once per node with its context, returns the
 #: node's generator.
 ProtocolFactory = Callable[[NodeContext], Generator[WakeCall, List[Receive], Any]]
+
+#: Stands for "no payload estimated yet" in :meth:`Simulator._meter`; unlike
+#: ``None`` it is never a payload.
+_NO_PAYLOAD = object()
 
 
 # --------------------------------------------------------------------------- #
@@ -374,9 +380,9 @@ class Simulator:
                 if metered:
                     self._meter(index, node_metrics, sends, current_round,
                                 awake, trace)
+                node_metrics.messages_sent += len(sends)
                 base = offsets[index]
                 for port, payload in sends:
-                    node_metrics.messages_sent += 1
                     receiver = neighbors[base + port]
                     if receiver in awake:
                         inboxes[receiver].append(
@@ -410,20 +416,33 @@ class Simulator:
         awake: Dict[int, WakeCall],
         trace: Optional[Trace],
     ) -> None:
-        """CONGEST bit accounting (and tracing) for one sender's messages."""
+        """CONGEST bit accounting (and tracing) for one sender's messages.
+
+        A broadcast lists one payload object on every port, so a payload is
+        estimated once per run of the same object in *sends* and its size
+        reused for the rest of the run; equal but distinct objects are
+        estimated separately.  The sender's bit counters are written once,
+        after the whole list passed the bit limit.
+        """
         network = self._network
         bit_limit = self._message_bit_limit
+        total = 0
+        largest = node_metrics.max_message_bits
+        previous: Any = _NO_PAYLOAD
+        bits = 0
         for port, payload in sends:
-            bits = estimate_bits(payload)
-            if bit_limit is not None and bits > bit_limit:
-                raise MessageTooLargeError(
-                    f"node {network.label_of(index)} sent a {bits}-bit "
-                    f"message (limit {bit_limit}) in round "
-                    f"{current_round}: {payload!r}"
-                )
-            node_metrics.bits_sent += bits
-            if bits > node_metrics.max_message_bits:
-                node_metrics.max_message_bits = bits
+            if payload is not previous:
+                previous = payload
+                bits = estimate_bits(payload)
+                if bit_limit is not None and bits > bit_limit:
+                    raise MessageTooLargeError(
+                        f"node {network.label_of(index)} sent a {bits}-bit "
+                        f"message (limit {bit_limit}) in round "
+                        f"{current_round}: {payload!r}"
+                    )
+                if bits > largest:
+                    largest = bits
+            total += bits
             if trace is not None:
                 receiver = network.neighbor_via_port(index, port)
                 trace.record_message(
@@ -435,6 +454,8 @@ class Simulator:
                         delivered=receiver in awake,
                     )
                 )
+        node_metrics.bits_sent += total
+        node_metrics.max_message_bits = largest
 
     # ------------------------------------------------------------------ #
     def _validate_call(

@@ -326,6 +326,16 @@ class TestCLIFamilyErrors:
         assert "error: cannot build graph family 'gnp' with n=-3" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("family", ["tree", "star"])
+    def test_run_family_without_nodes_renders_cleanly(self, family, capsys):
+        # Both builders reject n < 1 themselves, before any simulation.
+        assert main(["run", "--family", family, "--n", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: cannot build graph family '{family}' with n=0: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("extra", [[], ["--jobs", "2"]])
     def test_sweep_size_the_family_rejects_renders_cleanly(self, extra,
                                                            capsys):

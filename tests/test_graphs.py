@@ -29,6 +29,7 @@ class TestGenerators:
     @pytest.mark.parametrize("name, n", [
         ("gnp", -1), ("gnp_dense", -1), ("path", -1), ("cycle", -1),
         ("clique", -1), ("regular", 0), ("regular", 5), ("powerlaw", 3),
+        ("tree", 0), ("tree", -3), ("star", 0), ("star", -3),
     ])
     def test_size_the_builder_rejects_is_a_configuration_error(self, name,
                                                                n):

@@ -149,6 +149,73 @@ class TestBitAccounting:
             assert node.messages_sent == len(bits), label
             assert node.messages_received == received[label], label
 
+    @staticmethod
+    def _mixed_sends(degree):
+        """A send list mixing every case a per-object size memo must get
+        right: runs of one shared payload object, equal-valued but
+        distinct objects (``True`` next to ``1``: 1 vs 2 bits), and
+        payloads of different sizes."""
+        shared = (7, "ab")
+        payloads = [shared, shared, True, 1, True, 1, list(shared),
+                    list(shared), 10 ** 20, 10 ** 20, "x" * 40, shared,
+                    None, None, shared]
+        return [(port, payloads[port % len(payloads)])
+                for port in range(degree)]
+
+    @pytest.mark.parametrize("config", ["metered", "traced"])
+    def test_bit_counters_equal_per_message_estimates(self, config):
+        """Per-node bits_sent / max_message_bits are the per-message sum
+        and max of estimate_bits, however the payload objects repeat."""
+        graph = generators.star_graph(20)  # the hub has 19 ports
+
+        def protocol(ctx):
+            yield WakeCall(round=0, sends=self._mixed_sends(ctx.degree))
+            # A later, smaller broadcast must not lower max_message_bits.
+            small = (1,)
+            yield WakeCall(round=1, sends=[(port, small)
+                                           for port in ctx.ports])
+            return None
+
+        result = run_protocol(graph, protocol, seed=1, **PATHS[config])
+        per_node = result.metrics.per_node
+        for index, node in enumerate(per_node):
+            degree = graph.degree(index)
+            bits = [estimate_bits(payload)
+                    for _, payload in self._mixed_sends(degree)]
+            bits += [estimate_bits((1,))] * degree
+            assert node.bits_sent == sum(bits), index
+            assert node.max_message_bits == max(bits), index
+            assert node.messages_sent == 2 * degree, index
+        assert per_node[0].max_message_bits == estimate_bits("x" * 40)
+        if config == "traced":
+            traced = {index: [] for index in range(len(per_node))}
+            for event in result.trace.messages:
+                traced[event.sender].append(estimate_bits(event.payload))
+            for index, node in enumerate(per_node):
+                assert node.bits_sent == sum(traced[index]), index
+                assert node.max_message_bits == max(traced[index]), index
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_oversized_payload_after_a_broadcast_run_raises(self, trace):
+        """A run of small broadcast messages does not hide an oversized
+        message after it; the error text is unchanged."""
+        graph = generators.star_graph(6)  # the hub has 5 ports
+        small = (3, 4)
+        big = "y" * 20  # 160 bits
+
+        def protocol(ctx):
+            sends = [(port, small) for port in ctx.ports]
+            if ctx.degree > 1:
+                sends[-1] = (ctx.degree - 1, big)
+            yield WakeCall(round=2, sends=sends)
+            return None
+
+        with pytest.raises(MessageTooLargeError) as excinfo:
+            run_protocol(graph, protocol, seed=1, trace=trace,
+                         message_bit_limit=100)
+        assert str(excinfo.value) == (
+            f"node 0 sent a 160-bit message (limit 100) in round 2: {big!r}")
+
 
 # --------------------------------------------------------------------------- #
 # Protocol violations

@@ -113,6 +113,27 @@ class TestCommunicationSets:
         assert set(sets) == set(range(1, 11))
         assert sets[3] == vt.communication_set(3, 10)
 
+    def test_memoised_sets_equal_fresh_ones_and_keep_observations(self):
+        """A cache hit returns a frozenset equal to a freshly built one,
+        and Observations 4 and 5 hold on the memoised sets."""
+        i = 40
+        vt.communication_set.cache_clear()
+        cold = {k: vt.communication_set(k, i) for k in range(1, i + 1)}
+        hits_before = vt.communication_set.cache_info().hits
+        warm = {k: vt.communication_set(k, i) for k in range(1, i + 1)}
+        assert vt.communication_set.cache_info().hits == hits_before + i
+        for k in range(1, i + 1):
+            fresh = vt.communication_set.__wrapped__(k, i)
+            assert isinstance(warm[k], frozenset)
+            assert warm[k] == cold[k] == fresh
+        bound = math.ceil(math.log2(i)) + 1
+        assert all(len(s) <= bound for s in warm.values())
+        for k in range(1, i):
+            for k_prime in range(k + 1, i + 1):
+                r = vt.common_round(k, k_prime, i)
+                assert k < r <= k_prime
+                assert r in warm[k] and r in warm[k_prime]
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=3000), st.data())
     def test_observation5_property(self, i, data):
